@@ -1,15 +1,17 @@
 // Real-hardware microbenchmarks (google-benchmark) over the *threads*
-// backend: the actual data-structure costs of the queue, RMW, and SHA-1
-// primitives on this host, complementing bench_table1_ops' virtual-time
-// reproduction of the paper's Table 1.
+// backend: the actual data-structure costs of the queue, RMW, SHA-1 and
+// fiber-switch primitives on this host, complementing bench_table1_ops'
+// virtual-time reproduction of the paper's Table 1.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <vector>
 
 #include "base/sha1.hpp"
 #include "pgas/runtime.hpp"
 #include "scioto/queue.hpp"
 #include "scioto/task.hpp"
+#include "sim/fiber.hpp"
 
 namespace {
 
@@ -32,14 +34,39 @@ pgas::Config rt_cfg(int nranks) {
   return cfg;
 }
 
-void BM_Sha1TaskDigest(benchmark::State& state) {
+// One UTS child derivation: a 24-byte message, chained so each digest
+// feeds the next call.
+void BM_Sha1Hash24(benchmark::State& state) {
   std::uint8_t buf[24] = {1, 2, 3};
   for (auto _ : state) {
-    auto d = Sha1::hash(buf, sizeof(buf));
-    benchmark::DoNotOptimize(d);
+    const Sha1::Digest d = Sha1::hash(buf, sizeof(buf));
+    std::memcpy(buf, d.data(), d.size());
   }
+  benchmark::DoNotOptimize(buf);
 }
-BENCHMARK(BM_Sha1TaskDigest);
+BENCHMARK(BM_Sha1Hash24);
+
+// The sim engine's context switch: each iteration resumes two fibers that
+// yield straight back, i.e. two round trips (four switches).
+void BM_FiberSwitch(benchmark::State& state) {
+  bool stop = false;
+  sim::Fiber* self[2] = {nullptr, nullptr};
+  auto body = [&](int i) {
+    while (!stop) self[i]->yield();
+  };
+  sim::Fiber a([&] { body(0); }, 64 * 1024);
+  sim::Fiber b([&] { body(1); }, 64 * 1024);
+  self[0] = &a;
+  self[1] = &b;
+  for (auto _ : state) {
+    a.resume();
+    b.resume();
+  }
+  stop = true;
+  a.resume();
+  b.resume();
+}
+BENCHMARK(BM_FiberSwitch);
 
 void BM_QueueLocalPushPop(benchmark::State& state) {
   pgas::run_spmd(rt_cfg(1), [&](pgas::Runtime& rt) {

@@ -80,16 +80,14 @@ int uts_num_children(const UtsNode& node, const UtsParams& p) {
 }
 
 UtsNode uts_child(const UtsNode& parent, int i) {
-  Sha1 h;
-  h.update(parent.state.data(), parent.state.size());
-  std::uint8_t idx[4] = {
-      static_cast<std::uint8_t>(i >> 24),
-      static_cast<std::uint8_t>(i >> 16),
-      static_cast<std::uint8_t>(i >> 8),
-      static_cast<std::uint8_t>(i),
-  };
-  h.update(idx, sizeof(idx));
-  Sha1::Digest d = h.finish();
+  // Message = parent state || big-endian child index (24 bytes, one block).
+  std::uint8_t msg[Sha1::kDigestBytes + 4];
+  std::copy(parent.state.begin(), parent.state.end(), msg);
+  msg[20] = static_cast<std::uint8_t>(i >> 24);
+  msg[21] = static_cast<std::uint8_t>(i >> 16);
+  msg[22] = static_cast<std::uint8_t>(i >> 8);
+  msg[23] = static_cast<std::uint8_t>(i);
+  Sha1::Digest d = Sha1::hash(msg, sizeof(msg));
   UtsNode child;
   std::copy(d.begin(), d.end(), child.state.begin());
   child.depth = parent.depth + 1;

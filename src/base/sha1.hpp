@@ -2,8 +2,9 @@
 //
 // Used by the UTS benchmark as a splittable deterministic RNG: each tree
 // node is described by a 20-byte digest, and child i's state is
-// SHA1(parent_state || i). The implementation below is a straightforward,
-// dependency-free rendition of the FIPS 180-1 algorithm.
+// SHA1(parent_state || i). The block compression runs on the x86 SHA
+// extensions when the CPU has them (detected once at start-up) and on a
+// portable rendition of FIPS 180-1 otherwise; both produce the same bits.
 #pragma once
 
 #include <array>
@@ -32,19 +33,18 @@ class Sha1 {
   /// Absorb `len` bytes.
   void update(const void* data, std::size_t len);
 
-  /// Finalize and return the digest. The hasher must be reset() before
-  /// further use.
+  /// Finalize and return the digest. The hasher is left reset, ready to
+  /// absorb a new message.
   Digest finish();
 
-  /// One-shot convenience.
+  /// One-shot digest. Messages of at most 55 bytes (one padded block, e.g.
+  /// UTS's 24-byte child derivation) take a fused single-compression path.
   static Digest hash(const void* data, std::size_t len);
 
   /// Lowercase hex rendering of a digest (for tests and debugging).
   static std::string hex(const Digest& d);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 5> state_{};
   std::uint64_t total_bytes_ = 0;
   std::array<std::uint8_t, 64> buffer_{};

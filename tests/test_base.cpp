@@ -2,12 +2,16 @@
 // option parsing, table rendering, accumulators.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "base/error.hpp"
 #include "base/options.hpp"
 #include "base/rng.hpp"
 #include "base/sha1.hpp"
+#include "base/sha1_detail.hpp"
 #include "base/stats.hpp"
 #include "base/table.hpp"
 #include "base/types.hpp"
@@ -66,6 +70,147 @@ TEST(Sha1, ResetReusesHasher) {
   h.update("abc", 3);
   EXPECT_EQ(Sha1::hex(h.finish()),
             "a9993e364706816aba3e25717850c26c9cd0d89d");
+}
+
+TEST(Sha1, FinishLeavesHasherReset) {
+  const std::string empty = "da39a3ee5e6b4b0d3255bfef95601890afd80709";
+  Sha1 h;
+  EXPECT_EQ(Sha1::hex(h.finish()), empty);
+  EXPECT_EQ(Sha1::hex(h.finish()), empty);
+  h.update("xyz", 3);
+  (void)h.finish();
+  h.update("abc", 3);  // no reset() in between
+  EXPECT_EQ(Sha1::hex(h.finish()),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+}
+
+TEST(Sha1, Rfc3174FourthVector) {
+  std::string chunk;
+  for (int i = 0; i < 8; ++i) chunk += "01234567";
+  Sha1 h;
+  for (int i = 0; i < 10; ++i) {
+    h.update(chunk.data(), chunk.size());
+  }
+  EXPECT_EQ(Sha1::hex(h.finish()),
+            "dea356a2cddd90c7a7ecedc5ebb563934f460452");
+}
+
+/// Textbook SHA-1 (FIPS 180-1 §7, explicit padded message, 80-word
+/// schedule): an independent reference for the tests below.
+Sha1::Digest reference_sha1(const std::vector<std::uint8_t>& msg) {
+  std::vector<std::uint8_t> m = msg;
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  m.push_back(0x80);
+  while (m.size() % 64 != 56) m.push_back(0);
+  for (int i = 7; i >= 0; --i) {
+    m.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  auto rotl = [](std::uint32_t x, int n) {
+    return (x << n) | (x >> (32 - n));
+  };
+  std::uint32_t h[5] = {0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u,
+                        0xC3D2E1F0u};
+  for (std::size_t off = 0; off < m.size(); off += 64) {
+    std::uint32_t w[80];
+    for (int t = 0; t < 16; ++t) {
+      w[t] = 0;
+      for (int k = 0; k < 4; ++k) w[t] = (w[t] << 8) | m[off + 4 * t + k];
+    }
+    for (int t = 16; t < 80; ++t) {
+      w[t] = rotl(w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16], 1);
+    }
+    std::uint32_t a = h[0], b = h[1], c = h[2], d = h[3], e = h[4];
+    for (int t = 0; t < 80; ++t) {
+      std::uint32_t f, k;
+      if (t < 20) {
+        f = (b & c) | (~b & d), k = 0x5A827999u;
+      } else if (t < 40) {
+        f = b ^ c ^ d, k = 0x6ED9EBA1u;
+      } else if (t < 60) {
+        f = (b & c) | (b & d) | (c & d), k = 0x8F1BBCDCu;
+      } else {
+        f = b ^ c ^ d, k = 0xCA62C1D6u;
+      }
+      const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[t];
+      e = d, d = c, c = rotl(b, 30), b = a, a = tmp;
+    }
+    h[0] += a, h[1] += b, h[2] += c, h[3] += d, h[4] += e;
+  }
+  Sha1::Digest out;
+  for (int i = 0; i < 20; ++i) {
+    out[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(h[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> pattern(std::size_t n) {
+  std::vector<std::uint8_t> m(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    m[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  return m;
+}
+
+TEST(Sha1, PaddingEdgesMatchKnownDigests) {
+  // Digests of pattern(n) from an external SHA-1 (Python hashlib). Lengths
+  // 55/56 straddle the one-block padding limit, 63/64 the block boundary.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {54, "d55036939dd1f1b82217b436fd60b32b5d015ab1"},
+      {55, "749bbefb28edc4638b28b2b9a9e03ab9a4032b90"},
+      {56, "a5b6e9c29d201c774753ff8e7fb64931656f5e63"},
+      {57, "eb0737bed5451790722b2df351829ce117e3d9dd"},
+      {63, "d1a454409359fc372b4d22b3cea6488d6ba1be00"},
+      {64, "39a0d8b645ad85f1f976731ed112ac9455e28b78"},
+      {65, "d0c96e18890114a14716e9686528d2e3fdba8d9e"},
+      {119, "562ecf8a430f8e1056e3619bae33628e9a1d0a4e"},
+      {120, "353f6d2bf0e91aa91b74a2e0b3f297510f7d825f"},
+      {128, "0060f2a7e34b6e4d459f560197ef93243732a400"},
+  };
+  for (const auto& [n, hex] : cases) {
+    const auto m = pattern(n);
+    EXPECT_EQ(Sha1::hex(Sha1::hash(m.data(), n)), hex) << "n=" << n;
+    EXPECT_EQ(Sha1::hex(reference_sha1(m)), hex) << "n=" << n;
+    Sha1 h;
+    for (std::uint8_t byte : m) h.update(&byte, 1);
+    EXPECT_EQ(Sha1::hex(h.finish()), hex) << "n=" << n;
+  }
+}
+
+TEST(Sha1, EveryLengthAndSplitMatchesReference) {
+  for (std::size_t n = 0; n <= 200; ++n) {
+    const auto m = pattern(n);
+    const Sha1::Digest want = reference_sha1(m);
+    ASSERT_EQ(Sha1::hash(m.data(), n), want) << "one-shot n=" << n;
+    Sha1 h;
+    for (std::size_t split = 0; split <= n; ++split) {
+      h.update(m.data(), split);
+      h.update(m.data() + split, n - split);
+      ASSERT_EQ(h.finish(), want) << "n=" << n << " split=" << split;
+    }
+  }
+}
+
+TEST(Sha1, ShaNiCompressionMatchesPortable) {
+  if (!detail::sha1_shani_supported()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions; only the portable "
+                    "compression runs on this host";
+  }
+  Xoshiro256 rng(2008);
+  std::uint8_t block[64];
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::uint32_t a[5], b[5];
+    for (int i = 0; i < 5; ++i) {
+      a[i] = b[i] = static_cast<std::uint32_t>(rng.next());
+    }
+    for (int i = 0; i < 64; i += 8) {
+      const std::uint64_t r = rng.next();
+      std::memcpy(block + i, &r, 8);
+    }
+    detail::sha1_compress_portable(a, block);
+    detail::sha1_compress_shani(b, block);
+    ASSERT_EQ(std::memcmp(a, b, sizeof(a)), 0) << "block " << iter;
+  }
 }
 
 // ---- RNG ----

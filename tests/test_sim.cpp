@@ -2,7 +2,15 @@
 // determinism, locks with queueing-delay handoff, barriers, eventcounts,
 // and RMA target occupancy.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cfenv>
+#include <csignal>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <memory>
 #include <vector>
 
 #include "base/error.hpp"
@@ -45,6 +53,188 @@ TEST(Fiber, YieldSuspendsAndResumes) {
   f.resume();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_TRUE(f.finished());
+}
+
+struct Killed {
+  int rank;
+};
+
+// Yields at the bottom of a `depth`-deep call chain, then throws through
+// every frame of it (as fault::RankKilled unwinds a rank's SPMD body).
+void dive_and_throw(Fiber* self, int rank, int depth) {
+  volatile char frame[128];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0) {
+    self->yield();
+    throw Killed{rank};
+  }
+  dive_and_throw(self, rank, depth - 1);
+  frame[1] = frame[0];
+}
+
+TEST(Fiber, ExceptionUnwindsInsideFiberAcrossYields) {
+  std::vector<int> caught;
+  Fiber* fibers[2] = {nullptr, nullptr};
+  auto body = [&](int rank) {
+    for (int round = 0; round < 3; ++round) {
+      try {
+        fibers[rank]->yield();
+        dive_and_throw(fibers[rank], rank, 8 + rank);
+      } catch (const Killed& k) {
+        caught.push_back(k.rank);
+      }
+      fibers[rank]->yield();
+    }
+  };
+  Fiber a([&] { body(0); }, 64 * 1024);
+  Fiber b([&] { body(1); }, 64 * 1024);
+  fibers[0] = &a;
+  fibers[1] = &b;
+  int host_caught = 0;
+  while (!a.finished() || !b.finished()) {
+    if (!a.finished()) a.resume();
+    // The host unwinds its own exceptions while both fibers sit suspended
+    // inside try blocks.
+    try {
+      throw Killed{-1};
+    } catch (const Killed&) {
+      ++host_caught;
+    }
+    if (!b.finished()) b.resume();
+  }
+  EXPECT_EQ(caught, (std::vector<int>{0, 1, 0, 1, 0, 1}));
+  EXPECT_GT(host_caught, 0);
+}
+
+TEST(Fiber, RoundingModeStaysWithItsFiber) {
+  const int host_mode = std::fegetround();
+  ASSERT_EQ(host_mode, FE_TONEAREST);
+  volatile double one = 1.0, ten = 10.0;
+  const double nearest = one / ten;
+  Fiber* self = nullptr;
+  double in_fiber = 0.0;
+  int mode_seen_later = -1;
+  Fiber changer(
+      [&] {
+        std::fesetround(FE_TOWARDZERO);
+        in_fiber = one / ten;
+        self->yield();
+        mode_seen_later = std::fegetround();
+        in_fiber = one / ten;
+      },
+      64 * 1024);
+  self = &changer;
+  int other_mode = -1;
+  double in_other = 0.0;
+  Fiber other(
+      [&] {
+        other_mode = std::fegetround();
+        in_other = one / ten;
+      },
+      64 * 1024);
+
+  changer.resume();
+  EXPECT_LT(in_fiber, nearest);  // 1/10 rounds up to nearest, down to zero
+  EXPECT_EQ(std::fegetround(), host_mode);
+  EXPECT_EQ(one / ten, nearest);
+  other.resume();
+  EXPECT_EQ(other_mode, FE_TONEAREST);
+  EXPECT_EQ(in_other, nearest);
+  changer.resume();
+  EXPECT_EQ(mode_seen_later, FE_TOWARDZERO);
+  EXPECT_LT(in_fiber, nearest);
+  EXPECT_TRUE(changer.finished());
+  EXPECT_EQ(std::fegetround(), host_mode);
+  EXPECT_EQ(one / ten, nearest);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+std::size_t rss_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(Fiber, StacksAreCommittedLazily) {
+  // 1024 engine-default 256 KiB stacks would pin 256 MiB if committed up
+  // front; each fiber here touches ~4 KiB of its stack. The bound is a
+  // quarter of the full commit, loose enough for sanitizer shadow memory.
+  constexpr int kFibers = 1024;
+  constexpr std::size_t kStack = 256 * 1024;
+  constexpr std::size_t kBound = kFibers * kStack / 4;
+  const std::size_t before = rss_bytes();
+  std::vector<std::unique_ptr<Fiber>> fibers;
+  fibers.reserve(kFibers);
+  long sum = 0;
+  for (int i = 0; i < kFibers; ++i) {
+    fibers.push_back(std::make_unique<Fiber>(
+        [&, i] {
+          volatile char touched[4096];
+          for (std::size_t k = 0; k < sizeof(touched); k += 64) {
+            touched[k] = static_cast<char>(i);
+          }
+          fibers[static_cast<std::size_t>(i)]->yield();
+          sum += touched[0];
+        },
+        kStack));
+  }
+  for (auto& f : fibers) f->resume();  // every stack is live at once here
+  const std::size_t grown = rss_bytes() - std::min(before, rss_bytes());
+  for (auto& f : fibers) f->resume();
+  EXPECT_LT(grown, kBound) << "RSS grew " << grown / 1024 << " KiB";
+  long want = 0;
+  for (int i = 0; i < kFibers; ++i) want += static_cast<char>(i);
+  EXPECT_EQ(sum, want);
+}
+
+int recurse_forever(int depth) {
+  volatile char frame[256];
+  frame[0] = static_cast<char>(depth);
+  if (depth < 0) return 0;  // never: keeps the recursion from being elided
+  return recurse_forever(depth + 1) + frame[0];
+}
+
+constexpr std::size_t kOverflowStack = 64 * 1024;
+std::uintptr_t g_overflow_start = 0;  // first frame of the overflowing fiber
+
+// SIGSEGV handler (on an alternate stack): the fault must land within one
+// guard page below the fiber's own stack, not in whatever is mapped next.
+void report_overflow(int, siginfo_t* info, void*) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(info->si_addr);
+  const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const char* msg = g_overflow_start - addr <= kOverflowStack + 2 * page
+                        ? "overflow faulted on the guard page\n"
+                        : "overflow ran past the fiber's stack\n";
+  (void)!write(2, msg, std::strlen(msg));
+  _exit(1);
+}
+
+TEST(FiberDeathTest, StackOverflowFaultsOnGuardPage) {
+  EXPECT_DEATH(
+      {
+        static char alt_stack[64 * 1024];
+        stack_t ss{};
+        ss.ss_sp = alt_stack;
+        ss.ss_size = sizeof(alt_stack);
+        sigaltstack(&ss, nullptr);
+        struct sigaction sa {};
+        sa.sa_sigaction = report_overflow;
+        sa.sa_flags = SA_SIGINFO | SA_ONSTACK;
+        sigaction(SIGSEGV, &sa, nullptr);
+        Fiber f(
+            [] {
+              g_overflow_start =
+                  reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+              (void)recurse_forever(0);
+            },
+            kOverflowStack);
+        // Mapped next, so it usually sits directly below f's guard page: a
+        // missing guard would let f's overflow run on into this stack.
+        Fiber below([] {}, kOverflowStack);
+        f.resume();
+      },
+      "overflow faulted on the guard page");
 }
 
 TEST(Engine, ClocksAdvanceIndependently) {
