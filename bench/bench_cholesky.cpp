@@ -66,12 +66,7 @@ int main(int argc, char** argv) {
                 "armed and print its weighted critical path + top-3 blame "
                 "ranks");
   if (!opts.parse(argc, argv)) return 0;
-  bool flow = opts.get_flag("flow");
-  if (flow && !SCIOTO_LINEAGE_ENABLED) {
-    std::printf("--flow: lineage compiled out (SCIOTO_LINEAGE=OFF); "
-                "skipping flow analytics\n");
-    flow = false;
-  }
+  const bool flow = opts.get_flag("flow");
   const int procs = static_cast<int>(opts.get_int("procs"));
   const int tile = static_cast<int>(opts.get_int("tile"));
   const int maxt = static_cast<int>(opts.get_int("max-tiles"));

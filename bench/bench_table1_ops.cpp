@@ -303,11 +303,7 @@ int main(int argc, char** argv) {
   if (!opts.parse(argc, argv)) return 0;
   int iters = static_cast<int>(opts.get_int("iters"));
   const std::string metrics_json = opts.get_string("metrics-json");
-  const bool want_hists = !metrics_json.empty() && SCIOTO_METRICS_ENABLED;
-  if (!metrics_json.empty() && !want_hists) {
-    std::printf("metrics-json: compiled out (SCIOTO_METRICS=OFF); "
-                "skipping\n");
-  }
+  const bool want_hists = !metrics_json.empty();
 
   OpHists cluster_h, xt4_h;
   OpTimes cluster = measure(sim::cluster2008_uniform(), iters,

@@ -61,11 +61,7 @@ int main(int argc, char** argv) {
     dc.enabled = true;
     detect::set_config(dc);
   }
-  const bool live = opts.get_flag("live") && SCIOTO_METRICS_ENABLED;
-  if (opts.get_flag("live") && !live) {
-    std::printf("--live: metrics compiled out (SCIOTO_METRICS=OFF); "
-                "skipping dashboard\n");
-  }
+  const bool live = opts.get_flag("live");
 
   const int nranks = static_cast<int>(opts.get_int("ranks"));
 
@@ -90,10 +86,7 @@ int main(int argc, char** argv) {
   };
   const bool elastic_req =
       !opts.get_string("join").empty() || !opts.get_string("ckpt").empty();
-  if (elastic_req && !SCIOTO_ELASTIC_ENABLED) {
-    std::printf("--join/--ckpt: elastic membership compiled out "
-                "(SCIOTO_ELASTIC=OFF); ignoring\n");
-  } else if (elastic_req) {
+  if (elastic_req) {
     append_rules(opts.get_string("join"), "join");
     append_rules(opts.get_string("ckpt"), "ckpt");
     elastic::Config ec = elastic::config();
@@ -225,7 +218,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (elastic_req && SCIOTO_ELASTIC_ENABLED) {
+  if (elastic_req) {
     elastic::Stats es = elastic::stats();
     detect::Stats ds = detect::stats();
     std::printf("\nelastic: %llu ranks joined in %llu waves, "

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
         // Home the task where its output row lives.
         Rank home = grid.owner_of_patch(i, j);
         id[static_cast<std::size_t>(i * g + j)] =
-            dag.add_node(home, [&, i, j] {
+            dag.add_node(home, [&, i, j](dag::NodeCtx&) {
               double up = i > 0 ? grid.at(i - 1, j) : 0;
               double left = j > 0 ? grid.at(i, j - 1) : 0;
               rt.charge(us(20));  // simulated cell work

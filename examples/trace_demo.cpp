@@ -40,12 +40,7 @@ int main(int argc, char** argv) {
                 "stamp task lineage: cross-rank flow arrows in the trace, "
                 "plus the critical path and span analytics after the run");
   if (!opts.parse(argc, argv)) return 0;
-  bool flow = opts.get_flag("flow");
-  if (flow && !SCIOTO_LINEAGE_ENABLED) {
-    std::printf("--flow: lineage compiled out (SCIOTO_LINEAGE=OFF); "
-                "skipping flow analytics\n");
-    flow = false;
-  }
+  const bool flow = opts.get_flag("flow");
 
   pgas::Config cfg;
   cfg.nranks = static_cast<int>(opts.get_int("ranks"));

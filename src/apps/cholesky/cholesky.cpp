@@ -161,16 +161,17 @@ CholeskyResult cholesky_dag(pgas::Runtime& rt, const CholeskyConfig& cfg) {
   const std::int64_t fc = cfg.flop_cost;
   for (int k = 0; k < nt; ++k) {
     potrf_id[static_cast<std::size_t>(k)] =
-        dg.add_node(tile_owner(k), [&rt, &m, &tb, b, k, fc] {
+        dg.add_node(tile_owner(k), [&rt, &m, &tb, b, k, fc](dag::NodeCtx&) {
           rt.charge(potrf_flops(b) * fc);
           do_potrf(m, b, k, tb);
         });
     for (int i = k + 1; i < nt; ++i) {
       trsm_id[static_cast<std::size_t>(i * nt + k)] =
-          dg.add_node(tile_owner(i), [&rt, &m, &tb, b, i, k, fc] {
-            rt.charge(trsm_flops(b) * fc);
-            do_trsm(m, b, i, k, tb);
-          });
+          dg.add_node(tile_owner(i),
+                      [&rt, &m, &tb, b, i, k, fc](dag::NodeCtx&) {
+                        rt.charge(trsm_flops(b) * fc);
+                        do_trsm(m, b, i, k, tb);
+                      });
       for (int j = k + 1; j <= i; ++j) {
         dag::GroupId& g = tile_grp[static_cast<std::size_t>(i * nt + j)];
         if (g == dag::kNoGroup && j >= 2) {

@@ -265,7 +265,7 @@ struct CtlSession {
   std::atomic<std::uint64_t> st_inherits{0};
 };
 
-std::atomic<bool> g_active{false};
+using detail::g_active;
 CtlSession g_ctl;
 
 std::mutex g_cfg_mu;
@@ -424,8 +424,6 @@ void planner_tick(const metrics::FleetSample& s) {
 }
 
 }  // namespace
-
-bool active() { return g_active.load(std::memory_order_relaxed); }
 
 Mode mode() { return active() ? g_ctl.cfg.mode : Mode::Off; }
 

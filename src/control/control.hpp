@@ -52,13 +52,13 @@
 // dead rank's queue inherits the victim's last *published* knobs --
 // published rows outlive the owner precisely so adoption can read them.
 //
-// Gating (same discipline as trace/ and metrics/): the SCIOTO_CONTROL
-// CMake option (default ON) defines SCIOTO_CONTROL_ENABLED; OFF compiles
-// the scheduler hooks and run_spmd arming to nothing. At runtime nothing
-// happens until start(); armed by SCIOTO_CONTROLLER=off|local|global (+
-// SCIOTO_CTL_PERIOD, SCIOTO_CTL_RULES) or the scioto_ctl_* C API.
+// Gating (same discipline as trace/ and metrics/): nothing happens until
+// start(); armed by SCIOTO_CONTROLLER=off|local|global (+
+// SCIOTO_CTL_PERIOD, SCIOTO_CTL_RULES) or the scioto_ctl_* C API. A
+// disarmed scheduler hook costs one inline relaxed load.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -66,11 +66,13 @@
 #include "base/types.hpp"
 #include "control/knobs.hpp"
 
-#ifndef SCIOTO_CONTROL_ENABLED
-#define SCIOTO_CONTROL_ENABLED 0
-#endif
-
 namespace scioto::control {
+
+namespace detail {
+// The session flag behind active(), inline so every probe site reads it
+// without a call. Only start()/stop() store it (release order).
+inline std::atomic<bool> g_active{false};
+}  // namespace detail
 
 enum class Mode : int { Off, Local, Global };
 
@@ -172,7 +174,9 @@ class RuleEngine {
 // ---- Session ----
 
 /// True between start() and stop(); one relaxed atomic load.
-bool active();
+inline bool active() {
+  return detail::g_active.load(std::memory_order_relaxed);
+}
 Mode mode();
 TimeNs period();
 

@@ -79,10 +79,6 @@ NodeId DagScheduler::add_node(Rank home, NodeFn fn, GroupId group) {
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
-NodeId DagScheduler::add_node(Rank home, std::function<void()> fn) {
-  return add_node(home, [f = std::move(fn)](NodeCtx&) { f(); });
-}
-
 void DagScheduler::add_edge(NodeId pred, NodeId succ) {
   SCIOTO_REQUIRE(!executed_, "DagScheduler::add_edge after execute()");
   SCIOTO_REQUIRE(!is_dyn(pred) && !is_dyn(succ),

@@ -25,7 +25,7 @@ struct View {
 };
 
 View g_view;
-std::atomic<bool> g_active{false};
+using detail::g_active;
 
 Config g_config;  // staged knob; read/written outside any armed session
 
@@ -45,8 +45,6 @@ void set_config(const Config& c) {
 }
 
 bool enabled() { return g_config.enabled; }
-
-bool active() { return g_active.load(std::memory_order_relaxed); }
 
 void start(int nranks, int initial_joined) {
   SCIOTO_REQUIRE(!active(), "detect: session already armed");

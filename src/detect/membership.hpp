@@ -32,6 +32,12 @@
 
 namespace scioto::detect {
 
+namespace detail {
+// The session flag behind active(), inline so every probe site reads it
+// without a call. Only start()/stop() store it (release order).
+inline std::atomic<bool> g_active{false};
+}  // namespace detail
+
 /// Detector tuning. Periods and timeouts are virtual time under the sim
 /// backend and wall-clock time under threads; the defaults are sized for
 /// the sim machine models (suspect/confirm sit well above the heartbeat
@@ -72,7 +78,9 @@ bool enabled();
 
 /// True between start() and stop(): the view answers from probe
 /// observations instead of falling back to the fault oracle.
-bool active();
+inline bool active() {
+  return detail::g_active.load(std::memory_order_relaxed);
+}
 
 /// Arms the membership view for `nranks` ranks, all initially alive at
 /// epoch equal to the current fault epoch (so resplice logic sees one

@@ -36,7 +36,7 @@ struct Session {
   std::mutex mu;  // guards stats
 };
 
-std::atomic<bool> g_active{false};
+using detail::g_active;
 Session g_session;
 
 Config g_config;  // staged knob; read/written outside any armed session
@@ -53,8 +53,6 @@ void set_config(const Config& c) {
 }
 
 bool enabled() { return g_config.enabled; }
-
-bool active() { return g_active.load(std::memory_order_relaxed); }
 
 void start(int nranks) {
   SCIOTO_REQUIRE(!active(), "elastic: session already armed");

@@ -31,21 +31,22 @@
 // Session discipline matches fault/detect/control: process-global staged
 // Config surviving start/stop, relaxed-atomic active() fast path,
 // default-off (elastic-off traces are byte-identical to pre-elastic
-// baselines). The SCIOTO_ELASTIC CMake option (default ON) defines
-// SCIOTO_ELASTIC_ENABLED; OFF compiles the run_spmd arming and the work-
-// loop hooks to nothing.
+// baselines).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "base/types.hpp"
 
-#ifndef SCIOTO_ELASTIC_ENABLED
-#define SCIOTO_ELASTIC_ENABLED 0
-#endif
-
 namespace scioto::elastic {
+
+namespace detail {
+// The session flag behind active(), inline so every probe site reads it
+// without a call. Only start()/stop() store it (release order).
+inline std::atomic<bool> g_active{false};
+}  // namespace detail
 
 struct Config {
   bool enabled = false;          // staged knob: arm the session in run_spmd
@@ -73,7 +74,9 @@ void set_config(const Config& c);
 bool enabled();
 
 /// True between start() and stop().
-bool active();
+inline bool active() {
+  return detail::g_active.load(std::memory_order_relaxed);
+}
 
 /// Arms the session for `nranks` ranks. Consumes `join:` and `ckpt:` rules
 /// from the armed fault plan (they are inert in the fault machinery).

@@ -34,7 +34,7 @@ struct Session {
   std::mutex mu;
 };
 
-std::atomic<bool> g_active{false};
+using detail::g_active;
 Session g_session;
 
 // Process-global, deliberately NOT reset by start(): the C API stages
@@ -86,8 +86,6 @@ std::uint64_t mark_dead_locked(Rank r, TimeNs now) {
 }
 
 }  // namespace
-
-bool active() { return g_active.load(std::memory_order_relaxed); }
 
 void start(int nranks, FaultPlan plan, std::uint64_t seed) {
   SCIOTO_REQUIRE(!active(), "fault session already active");

@@ -30,6 +30,12 @@
 
 namespace scioto::fault {
 
+namespace detail {
+// The session flag behind active(), inline so every probe site reads it
+// without a call. Only start()/stop() store it (release order).
+inline std::atomic<bool> g_active{false};
+}  // namespace detail
+
 /// Thrown by poll_safepoint() when the executing rank's fail-stop event is
 /// due. Deliberately not derived from std::exception: generic catch sites
 /// for "task threw" must not swallow a rank death.
@@ -64,7 +70,9 @@ struct Summary {
 
 /// True between start() and stop(). One relaxed atomic load; every runtime
 /// hook checks this first, so fault-free runs take no other cost.
-bool active();
+inline bool active() {
+  return detail::g_active.load(std::memory_order_relaxed);
+}
 
 /// Arms `plan` for an SPMD run of `nranks` ranks. `seed` drives the
 /// deterministic backoff jitter (derive it from the runtime seed so plan +

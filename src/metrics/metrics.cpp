@@ -101,7 +101,7 @@ struct Session {
   int nranks = 0;
 };
 
-std::atomic<bool> g_active{false};
+using detail::g_active;
 Session g_session;
 
 std::mutex g_cfg_mu;
@@ -152,8 +152,6 @@ inline std::size_t hist_word(Hist h, int field) {
 }
 
 }  // namespace
-
-bool active() { return g_active.load(std::memory_order_relaxed); }
 
 void start(int nranks) {
   SCIOTO_REQUIRE(!active(), "metrics session already active");

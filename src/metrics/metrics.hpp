@@ -22,15 +22,12 @@
 // ranks are cooperatively scheduled fibers and the seqlock is trivially
 // quiescent at every scrape.
 //
-// Gating (same discipline as trace/):
-//   * compile time: the SCIOTO_METRICS CMake option (default ON) defines
-//     SCIOTO_METRICS_ENABLED; OFF compiles every SCIOTO_METRIC_* macro to
-//     nothing.
-//   * runtime: nothing is recorded until metrics::start(nranks); armed by
-//     the SCIOTO_METRICS env var / C-API knob in pgas::run_spmd, or
-//     directly by benches. When no session is active each instrumentation
-//     site costs one predicted-false branch, so metrics-off runs stay
-//     byte-identical to baseline (locked in by tests/test_metrics.cpp).
+// Gating (same discipline as trace/): nothing is recorded until
+// metrics::start(nranks); armed by the SCIOTO_METRICS env var / C-API knob
+// in pgas::run_spmd, or directly by benches. active() is an inline relaxed
+// load, so when no session is active each instrumentation site costs one
+// predicted-false branch, and metrics-off runs stay byte-identical to
+// baseline (locked in by tests/test_metrics.cpp).
 //
 // Determinism: recording never reads a clock by itself -- durations are
 // handed in by instrumentation sites that only take timestamps when a
@@ -38,17 +35,20 @@
 // so metrics-on sim runs are bit-deterministic.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "base/stats.hpp"
 #include "base/types.hpp"
 
-#ifndef SCIOTO_METRICS_ENABLED
-#define SCIOTO_METRICS_ENABLED 0
-#endif
-
 namespace scioto::metrics {
+
+namespace detail {
+// The session flag behind active(), inline so every probe site reads it
+// without a call. Only start()/stop() store it (release order).
+inline std::atomic<bool> g_active{false};
+}  // namespace detail
 
 // ---- Fixed metric schema ----
 //
@@ -157,7 +157,9 @@ inline constexpr int kPatchWords =
 // ---- Session ----
 
 /// True between start() and stop(); one relaxed atomic load.
-bool active();
+inline bool active() {
+  return detail::g_active.load(std::memory_order_relaxed);
+}
 
 /// Allocates the per-rank metric patches (zeroed) and begins recording.
 void start(int nranks);
@@ -250,11 +252,9 @@ void set_config(const Config& cfg);
 
 }  // namespace scioto::metrics
 
-// Instrumentation macros: compiled to nothing when the SCIOTO_METRICS CMake
-// option is OFF (arguments unevaluated), one predicted-false branch when ON
-// but no session is active. SCIOTO_METRICS_ON() guards clock reads that
-// only exist to feed a histogram.
-#if SCIOTO_METRICS_ENABLED
+// Instrumentation macros: one predicted-false branch when no session is
+// active (arguments unevaluated). SCIOTO_METRICS_ON() guards clock reads
+// that only exist to feed a histogram.
 #define SCIOTO_METRICS_ON() (::scioto::metrics::active())
 #define SCIOTO_METRIC_CTR(rank, ctr, delta)                               \
   do {                                                                    \
@@ -277,15 +277,3 @@ void set_config(const Config& cfg);
                                      static_cast<std::uint64_t>(v));      \
     }                                                                     \
   } while (0)
-#else
-#define SCIOTO_METRICS_ON() (false)
-#define SCIOTO_METRIC_CTR(rank, ctr, delta) \
-  do {                                      \
-  } while (0)
-#define SCIOTO_METRIC_GAUGE(rank, gauge, v) \
-  do {                                      \
-  } while (0)
-#define SCIOTO_METRIC_HIST(rank, hist, v) \
-  do {                                    \
-  } while (0)
-#endif

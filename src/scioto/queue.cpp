@@ -1192,7 +1192,6 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
     counters().steals_in++;
     counters().tasks_stolen_in += static_cast<std::uint64_t>(n);
     SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealOk, victim, n, 0);
-#if SCIOTO_LINEAGE_ENABLED
     if (cfg_.lineage_off != 0 && victim != rt_.me()) {
       // The thief stamps the migration into its landed copy (the
       // victim's slots are dead or replayable either way): one hop bump
@@ -1211,7 +1210,6 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
                            rec.hops, rec.id);
       }
     }
-#endif
     SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::Steals, 1);
     SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::TasksStolen, n);
     if (SCIOTO_METRICS_ON()) {
@@ -1393,22 +1391,16 @@ std::uint64_t SplitQueue::debug_patch_hash(Rank r) {
   return h;
 }
 
-void SplitQueue::metrics_owner_op(metrics::Hist h, TimeNs t0) {
-  if (!SCIOTO_METRICS_ON()) {
-    return;
-  }
+void SplitQueue::record_owner_op(metrics::Hist h, TimeNs t0) {
   // Under sim this measures the op's charged virtual time (lock waits
   // included); under threads, actual elapsed wall time.
   metrics::hist_record(rt_.me(), h,
                        static_cast<std::uint64_t>(
                            std::max<TimeNs>(rt_.now() - t0, 0)));
-  metrics_queue_gauges();
+  publish_queue_gauges();
 }
 
-void SplitQueue::metrics_queue_gauges() {
-  if (!SCIOTO_METRICS_ON()) {
-    return;
-  }
+void SplitQueue::publish_queue_gauges() {
   Rank me = rt_.me();
   Ctl& c = ctl(me);
   std::uint64_t pt = unfrozen(c.priv_tail.load(std::memory_order_relaxed));

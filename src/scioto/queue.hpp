@@ -410,13 +410,20 @@ class SplitQueue {
   /// the unlocked thief claims rely on.
   bool add_remote_lockfree(Rank target, const std::byte* task);
   /// Telemetry: record an owner-op latency sample (t0 taken at op entry)
-  /// and refresh this rank's queue gauges. One predicted-false branch when
-  /// no metrics session is active.
-  void metrics_owner_op(metrics::Hist h, TimeNs t0);
+  /// and refresh this rank's queue gauges. The session check is inline,
+  /// so with no metrics session an op pays one predicted-false branch and
+  /// no call.
+  void metrics_owner_op(metrics::Hist h, TimeNs t0) {
+    if (SCIOTO_METRICS_ON()) record_owner_op(h, t0);
+  }
   /// Publish this rank's queue depth / shared size / split position into
   /// its metrics patch. Owner-only: thieves never write a victim's gauges
   /// (single-writer seqlock), so a steal shows up at the victim's next op.
-  void metrics_queue_gauges();
+  void metrics_queue_gauges() {
+    if (SCIOTO_METRICS_ON()) publish_queue_gauges();
+  }
+  void record_owner_op(metrics::Hist h, TimeNs t0);
+  void publish_queue_gauges();
 
   pgas::Runtime& rt_;
   Config cfg_;

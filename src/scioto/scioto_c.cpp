@@ -531,7 +531,6 @@ void scioto_lineage_set(int enabled) {
 int scioto_lineage_report_get(scioto_lineage_report_t* out) {
   SCIOTO_REQUIRE(out != nullptr, "scioto_lineage_report_get: NULL out");
   std::memset(out, 0, sizeof(*out));
-#if SCIOTO_LINEAGE_ENABLED
   if (!scioto::trace::lineage::active() || !scioto::trace::active()) {
     return -1;
   }
@@ -554,9 +553,6 @@ int scioto_lineage_report_get(scioto_lineage_report_t* out) {
   out->spawn_exec_p99_ns =
       static_cast<int64_t>(rep.spawn_to_exec.percentile(99));
   return 0;
-#else
-  return -1;
-#endif
 }
 
 int tc_knob_get(tc_t tc, const char* name, int64_t* value) {

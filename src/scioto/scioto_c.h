@@ -367,8 +367,7 @@ void scioto_dag_stats_get(scioto_dag_t dag, scioto_dag_stats_t* out);
  * scioto_lineage_set() arms a session inside the next SPMD run (the
  * SCIOTO_LINEAGE environment knob overrides it). The report needs both a
  * lineage session and a trace session (the edges live in the trace
- * rings), read after tc_process and before run teardown. No-ops /
- * returns -1 in builds configured with -DSCIOTO_LINEAGE=OFF. */
+ * rings), read after tc_process and before run teardown. */
 
 /// Nonzero when lineage is staged to arm on the next SPMD run.
 int scioto_lineage_enabled(void);

@@ -257,8 +257,7 @@ class TaskCollection {
   void fence_abort_and_rejoin();
   /// Ward/victim-pool recomputation when the membership epoch moved.
   void refresh_membership();
-  // ---- Elastic membership (src/elastic; bodies gated on the
-  // SCIOTO_ELASTIC build option) ----
+  // ---- Elastic membership (src/elastic) ----
   /// Parked-rank wait loop: publishes the join request when due; returns
   /// true on admission, false when the phase ended (termination broadcast
   /// or fleet halt) while this rank was still parked.

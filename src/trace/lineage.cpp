@@ -22,7 +22,7 @@ struct Session {
   std::vector<PerRank> ranks;
 };
 
-std::atomic<bool> g_active{false};
+using detail::g_active;
 Session g_session;
 Config g_staged;
 
@@ -31,8 +31,6 @@ Config g_staged;
 Config config() { return g_staged; }
 
 void set_config(const Config& cfg) { g_staged = cfg; }
-
-bool active() { return g_active.load(std::memory_order_relaxed); }
 
 void start(int nranks) {
   SCIOTO_REQUIRE(!active(), "lineage session already active");

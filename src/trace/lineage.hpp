@@ -41,23 +41,25 @@
 // them into a causal timeline, validates happens-before, and extracts the
 // weighted critical path.
 //
-// Gates: the SCIOTO_LINEAGE CMake option (default ON) compiles the hooks;
-// the SCIOTO_LINEAGE=1 environment variable (or a caller-started session,
-// e.g. `trace_demo --flow`) arms them at runtime. Both off by default on
-// the hot path: one predicted-false branch per hook when compiled in.
+// Gate: the SCIOTO_LINEAGE=1 environment variable (or a caller-started
+// session, e.g. `trace_demo --flow`) arms the hooks at runtime. Off by
+// default; a disarmed hook costs one predicted-false branch.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
 #include "base/types.hpp"
 
-#ifndef SCIOTO_LINEAGE_ENABLED
-#define SCIOTO_LINEAGE_ENABLED 0
-#endif
-
 namespace scioto::trace::lineage {
+
+namespace detail {
+// The session flag behind active(), inline so every probe site reads it
+// without a call. Only start()/stop() store it (release order).
+inline std::atomic<bool> g_active{false};
+}  // namespace detail
 
 /// The causal record carried in each task descriptor's trailer.
 struct LineageRec {
@@ -97,7 +99,9 @@ void set_config(const Config& cfg);
 /// True between start() and stop(). One relaxed atomic load; every
 /// descriptor-path hook checks this (via TaskCollection's cached trailer
 /// offset) before paying for the stamp.
-bool active();
+inline bool active() {
+  return detail::g_active.load(std::memory_order_relaxed);
+}
 
 /// Allocates per-rank id counters and arms the session. Must bracket the
 /// SPMD region like trace::start: task collections size their slots for

@@ -142,12 +142,10 @@ struct Session {
 // The active flag is separate from the session storage so that record()'s
 // fast path is a single relaxed load; start/stop only happen outside the
 // SPMD region, so no rank can be mid-record across a transition.
-std::atomic<bool> g_active{false};
+using detail::g_active;
 Session g_session;
 
 }  // namespace
-
-bool active() { return g_active.load(std::memory_order_relaxed); }
 
 std::size_t default_capacity() {
   if (const char* env = std::getenv("SCIOTO_TRACE_CAP")) {

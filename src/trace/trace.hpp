@@ -11,15 +11,12 @@
 // (trace/analysis.hpp): who-stole-from-whom, queue occupancy, and a
 // per-rank working/searching/idle breakdown that reconciles with TcStats.
 //
-// Usage:
-//   * compile-time gate: the SCIOTO_TRACE CMake option (default ON) defines
-//     SCIOTO_TRACE_ENABLED; when OFF the SCIOTO_TRACE_EVENT macro expands
-//     to nothing and instrumented code carries zero overhead.
-//   * runtime gate: nothing is recorded until trace::start(nranks, cap) is
-//     called. Benches expose this as --trace=FILE; pgas::run_spmd also
-//     honours the SCIOTO_TRACE_OUT environment variable so any binary can
-//     be traced without code changes (capacity via SCIOTO_TRACE_CAP,
-//     events per rank).
+// Usage: nothing is recorded until trace::start(nranks, cap) is called.
+// Benches expose this as --trace=FILE; pgas::run_spmd also honours the
+// SCIOTO_TRACE_OUT environment variable so any binary can be traced
+// without code changes (capacity via SCIOTO_TRACE_CAP, events per rank).
+// The session flag is the only off-switch: active() is an inline relaxed
+// load, so a disarmed probe costs one predicted-false branch and no call.
 //
 // Recording an event is one branch, one clock read, and one 32-byte store
 // into the recording rank's own ring -- no locks, no allocation. When a
@@ -31,17 +28,20 @@
 // exported traces (locked in by tests/test_trace.cpp).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "base/types.hpp"
 
-#ifndef SCIOTO_TRACE_ENABLED
-#define SCIOTO_TRACE_ENABLED 0
-#endif
-
 namespace scioto::trace {
+
+namespace detail {
+// The session flag behind active(), inline so every probe site reads it
+// without a call. Only start()/stop() store it (release order).
+inline std::atomic<bool> g_active{false};
+}  // namespace detail
 
 /// Typed event kinds. The payload fields a/b/c are per-kind (documented
 /// inline); `dur`-style payloads are durations in nanoseconds carried in c.
@@ -163,7 +163,9 @@ class Sink {
 
 /// True between start() and stop(). One relaxed atomic load; the
 /// SCIOTO_TRACE_EVENT macro checks this before paying for a clock read.
-bool active();
+inline bool active() {
+  return detail::g_active.load(std::memory_order_relaxed);
+}
 
 /// Allocates per-rank rings and begins recording. `capacity_per_rank` of 0
 /// selects the default (SCIOTO_TRACE_CAP env var, else 1<<15 events).
@@ -204,10 +206,8 @@ std::size_t default_capacity();
 
 }  // namespace scioto::trace
 
-// Instrumentation macro: compiled to nothing when the SCIOTO_TRACE CMake
-// option is OFF (arguments are not evaluated), one predicted-false branch
-// when ON but no session is active.
-#if SCIOTO_TRACE_ENABLED
+// Instrumentation macro: one predicted-false branch when no session is
+// active; the payload arguments are evaluated only inside an armed session.
 #define SCIOTO_TRACE_EVENT(rank, kind, a, b, c)                            \
   do {                                                                     \
     if (::scioto::trace::active()) {                                       \
@@ -217,8 +217,3 @@ std::size_t default_capacity();
                               static_cast<std::int64_t>(c));               \
     }                                                                      \
   } while (0)
-#else
-#define SCIOTO_TRACE_EVENT(rank, kind, a, b, c) \
-  do {                                          \
-  } while (0)
-#endif

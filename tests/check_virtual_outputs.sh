@@ -10,8 +10,8 @@
 #   tests/check_virtual_outputs.sh build            # check
 #   tests/check_virtual_outputs.sh build --record   # rewrite the digests
 #
-# The digests were recorded from a Release build (gcc, x86-64 glibc) with
-# the default SCIOTO_* gates, which is what CI checks them against.
+# The digests were recorded from a Release build (gcc, x86-64 glibc),
+# which is what CI checks them against.
 set -eu
 
 build=$(cd "${1:-build}" && pwd)

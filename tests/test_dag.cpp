@@ -16,7 +16,6 @@
 #include "dag/dag.hpp"
 #include "fault/fault.hpp"
 #include "metrics/metrics.hpp"
-#include "scioto/deps.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -49,7 +48,7 @@ TEST_P(DagBackends, ChainRunsInOrder) {
     constexpr int kLen = 16;
     std::vector<dag::NodeId> ids;
     for (int i = 0; i < kLen; ++i) {
-      ids.push_back(dag.add_node(i % rt.nprocs(), [&, i] {
+      ids.push_back(dag.add_node(i % rt.nprocs(), [&, i](dag::NodeCtx&) {
         std::lock_guard<std::mutex> g(m);
         order.push_back(i);
       }));
@@ -77,15 +76,15 @@ TEST_P(DagBackends, FanOutFanInWaitsForAllBranches) {
     TaskCollection tc(rt, small_cfg());
     dag::DagScheduler dag(tc);
     constexpr int kWidth = 48;
-    auto root = dag.add_node(0, [&] {
+    auto root = dag.add_node(0, [&](dag::NodeCtx&) {
       if (leaves.load() != 0) violated = true;
     });
-    auto join = dag.add_node(1, [&] {
+    auto join = dag.add_node(1, [&](dag::NodeCtx&) {
       if (leaves.load() != kWidth) violated = true;  // fan-in: all done
     });
     for (int i = 0; i < kWidth; ++i) {
-      auto leaf =
-          dag.add_node(i % rt.nprocs(), [&] { leaves.fetch_add(1); });
+      auto leaf = dag.add_node(i % rt.nprocs(),
+                               [&](dag::NodeCtx&) { leaves.fetch_add(1); });
       dag.add_edge(root, leaf);
       dag.add_edge(leaf, join);
     }
@@ -108,7 +107,7 @@ TEST_P(DagBackends, DiamondGridWavefrontOrder) {
     for (int i = 0; i < kGrid; ++i) {
       for (int j = 0; j < kGrid; ++j) {
         id[static_cast<std::size_t>(i * kGrid + j)] =
-            dag.add_node((i + j) % rt.nprocs(), [&, i, j] {
+            dag.add_node((i + j) % rt.nprocs(), [&, i, j](dag::NodeCtx&) {
               if (i > 0 && done[i - 1][j].load() == 0) violated = true;
               if (j > 0 && done[i][j - 1].load() == 0) violated = true;
               done[i][j].store(1);
@@ -151,7 +150,7 @@ TEST_P(DagBackends, ConflictGroupSerializesWithoutOrdering) {
     TaskCollection tc(rt, small_cfg());
     dag::DagScheduler dag(tc);
     dag::GroupId grp = dag.conflict_group();
-    auto root = dag.add_node(0, [] {});
+    auto root = dag.add_node(0, [](dag::NodeCtx&) {});
     constexpr int kMembers = 24;
     for (int i = 0; i < kMembers; ++i) {
       auto member = dag.add_node(
@@ -194,12 +193,12 @@ TEST_P(DagBackends, VersionEdgeRemoteRAW) {
     std::memset(rt.seg_ptr(data, rt.me()), 0, 64);
     rt.barrier();
     dag::DagScheduler dag(tc);
-    auto prod = dag.add_node(0, [&] {
+    auto prod = dag.add_node(0, [&](dag::NodeCtx&) {
       rt.charge(20'000);  // let the consumer's rank go idle first
       std::uint64_t v = kPayload;
       rt.put(data, 1, 0, &v, sizeof(v));
     });
-    auto cons = dag.add_node(1, [&] {
+    auto cons = dag.add_node(1, [&](dag::NodeCtx&) {
       std::uint64_t v = 0;
       rt.get(data, 1, 0, &v, sizeof(v));
       seen.store(v);
@@ -336,7 +335,7 @@ TEST(DagValidation, CycleReportedWithNodeIds) {
     dag::DagScheduler dag(tc);
     std::vector<dag::NodeId> id;
     for (int i = 0; i < 6; ++i) {
-      id.push_back(dag.add_node(i % rt.nprocs(), [] {}));
+      id.push_back(dag.add_node(i % rt.nprocs(), [](dag::NodeCtx&) {}));
     }
     dag.add_edge(id[0], id[1]);  // a clean prefix...
     dag.add_edge(id[1], id[2]);
@@ -363,13 +362,14 @@ TEST(DagValidation, AddEdgeRejectsBadArgsAtCallTime) {
   testing::run_sim(2, [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
     dag::DagScheduler dag(tc);
-    auto a = dag.add_node(0, [] {});
-    auto b = dag.add_node(1, [] {});
+    auto a = dag.add_node(0, [](dag::NodeCtx&) {});
+    auto b = dag.add_node(1, [](dag::NodeCtx&) {});
     EXPECT_THROW(dag.add_edge(a, a), Error);           // self-edge
     EXPECT_THROW(dag.add_edge(a, b + 7), Error);       // out of range
     EXPECT_THROW(dag.add_edge(-1, b), Error);          // negative
-    EXPECT_THROW(dag.add_node(rt.nprocs(), [] {}), Error);  // bad home
-    EXPECT_THROW(dag.add_node(0, dag::NodeFn([](dag::NodeCtx&) {}), 5),
+    EXPECT_THROW(dag.add_node(rt.nprocs(), [](dag::NodeCtx&) {}),
+                 Error);  // bad home
+    EXPECT_THROW(dag.add_node(0, [](dag::NodeCtx&) {}, 5),
                  Error);  // unknown group
     dag.add_edge(a, b);
     dag.execute();
@@ -377,23 +377,7 @@ TEST(DagValidation, AddEdgeRejectsBadArgsAtCallTime) {
   });
 }
 
-TEST(DagValidation, DeprecatedTaskDagAliasStillCompiles) {
-  std::atomic<int> hits{0};
-  testing::run_sim(2, [&](Runtime& rt) {
-    TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);  // the retired stub's spelling, via scioto/deps.hpp
-    TaskDag::NodeId a = dag.add_node(0, [&] { hits.fetch_add(1); });
-    TaskDag::NodeId b = dag.add_node(1, [&] { hits.fetch_add(1); });
-    dag.add_edge(a, b);
-    dag.execute();
-    tc.destroy();
-  });
-  EXPECT_EQ(hits.load(), 2);
-}
-
 // ---- Sim determinism: byte-identical replay across 8 seeds ----
-
-#if SCIOTO_TRACE_ENABLED
 
 TEST(DagDeterminism, EightSeedsByteIdenticalTraces) {
   // A workload touching every mechanism: wavefront edges, one conflict
@@ -466,15 +450,6 @@ TEST(DagDeterminism, EightSeedsByteIdenticalTraces) {
   }
 }
 
-#else  // !SCIOTO_TRACE_ENABLED
-
-TEST(DagDeterminism, EightSeedsByteIdenticalTraces) {
-  GTEST_SKIP() << "built with SCIOTO_TRACE=OFF; determinism is proven "
-                  "by comparing trace streams";
-}
-
-#endif  // SCIOTO_TRACE_ENABLED
-
 // ---- Composition with the fail-stop kill / adoption path ----
 
 TEST(DagFault, KillARankEveryNodeRunsExactlyOnce) {
@@ -495,7 +470,7 @@ TEST(DagFault, KillARankEveryNodeRunsExactlyOnce) {
         rt.barrier();
         dag::DagScheduler dag(tc);
         dag::GroupId grp = dag.conflict_group();
-        auto root = dag.add_node(0, [&] { rt.charge(5'000); });
+        auto root = dag.add_node(0, [&](dag::NodeCtx&) { rt.charge(5'000); });
         for (int i = 1; i < kNodes; ++i) {
           auto node = dag.add_node(
               i % nranks,
@@ -529,8 +504,6 @@ TEST(DagFault, KillARankEveryNodeRunsExactlyOnce) {
 
 class DagReconcile : public ::testing::TestWithParam<BackendKind> {};
 
-#if SCIOTO_METRICS_ENABLED && SCIOTO_TRACE_ENABLED
-
 TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
   const int nranks = 4;
   trace::start(nranks);
@@ -540,7 +513,7 @@ TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
     TaskCollection tc(rt, small_cfg());
     dag::DagScheduler dag(tc);
     dag::GroupId grp = dag.conflict_group();
-    auto root = dag.add_node(0, [&] { rt.charge(1'000); });
+    auto root = dag.add_node(0, [&](dag::NodeCtx&) { rt.charge(1'000); });
     for (int i = 1; i < 40; ++i) {
       auto node = dag.add_node(
           i % rt.nprocs(), [&](dag::NodeCtx&) { rt.charge(2'000); },
@@ -591,15 +564,6 @@ TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
   }
   EXPECT_EQ(hist_depth, g.nodes_run);
 }
-
-#else  // !(SCIOTO_METRICS_ENABLED && SCIOTO_TRACE_ENABLED)
-
-TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
-  GTEST_SKIP() << "built with SCIOTO_TRACE=OFF or SCIOTO_METRICS=OFF; "
-                  "reconciliation needs both instrumentation planes";
-}
-
-#endif  // SCIOTO_METRICS_ENABLED && SCIOTO_TRACE_ENABLED
 
 INSTANTIATE_TEST_SUITE_P(Backends, DagReconcile,
                          ::testing::Values(BackendKind::Sim,

@@ -384,10 +384,7 @@ TEST(DetectFence, ConcurrentAdoptionVsOwnerPushThreads) {
 }
 
 // ---- detector-mode determinism + detection-latency analysis ----
-// (These read the trace stream back; a SCIOTO_TRACE=OFF build records
-// nothing, so they skip there.)
-
-#if SCIOTO_TRACE_ENABLED
+// (These read the trace stream back.)
 
 TEST(DetectTrace, SamePlanAndSeedReplaysByteIdenticalTrace) {
   const apps::UtsParams tree = apps::uts_tiny();
@@ -461,15 +458,6 @@ TEST(DetectTrace, FalseConfirmationShowsAsFalseKind) {
   }
   EXPECT_TRUE(saw_fence_abort);
 }
-
-#else  // !SCIOTO_TRACE_ENABLED
-
-TEST(DetectTrace, CompiledOut) {
-  GTEST_SKIP() << "built with SCIOTO_TRACE=OFF; the detection-latency "
-                  "analyses read the trace stream";
-}
-
-#endif  // SCIOTO_TRACE_ENABLED
 
 // ---- C API knobs ----
 

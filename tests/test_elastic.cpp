@@ -78,8 +78,6 @@ apps::UtsResult run_uts_elastic(int nranks, const std::string& plan,
   return res;
 }
 
-#if SCIOTO_ELASTIC_ENABLED
-
 // ---- runtime rank join: grow the fleet mid-traversal ----
 
 TEST(ElasticGrow, UtsExactGrow4To8Sim8Seeds) {
@@ -281,8 +279,6 @@ TEST(ElasticQuiesce, UnderConcurrentStealsThreads4Seeds) {
 
 // ---- monitor rollup: joins/grows surface in the fleet samples ----
 
-#if SCIOTO_METRICS_ENABLED
-
 TEST(ElasticMonitor, JoinsSurfaceInFleetSamples) {
   const apps::UtsParams tree = apps::uts_small();
   ElasticGuard guard;
@@ -306,8 +302,6 @@ TEST(ElasticMonitor, JoinsSurfaceInFleetSamples) {
   EXPECT_EQ(last.alive + last.suspects + last.dead,
             static_cast<int>(last.ranks.size()));
 }
-
-#endif  // SCIOTO_METRICS_ENABLED
 
 // ---- C API ----
 
@@ -389,8 +383,6 @@ TEST(ElasticPlan, JoinersMustFormContiguousTail) {
 
 // ---- elastic-off byte-identity pin ----
 
-#if SCIOTO_TRACE_ENABLED
-
 TEST(ElasticOff, TraceByteIdenticalWithElasticStagedButDisabled) {
   // The elastic layer is linked into every run; staged-but-disabled
   // config must leave the trace stream byte-identical to a run that
@@ -435,17 +427,6 @@ TEST(ElasticOff, TraceByteIdenticalWithElasticStagedButDisabled) {
     EXPECT_NE(e.kind, trace::Ev::Restore);
   }
 }
-
-#endif  // SCIOTO_TRACE_ENABLED
-
-#else  // !SCIOTO_ELASTIC_ENABLED
-
-TEST(Elastic, CompiledOut) {
-  GTEST_SKIP() << "built with SCIOTO_ELASTIC=OFF; elastic membership is "
-                  "compiled to nothing";
-}
-
-#endif  // SCIOTO_ELASTIC_ENABLED
 
 }  // namespace
 }  // namespace scioto

@@ -89,8 +89,6 @@ TEST(Stats, HistPercentileExactBoundaries) {
   EXPECT_EQ(stats::hist_percentile(skew, stats::kLog2Buckets, 99.5), 1023u);
 }
 
-#if SCIOTO_METRICS_ENABLED
-
 namespace {
 
 /// Caller-owned metrics session for one scope.
@@ -468,11 +466,3 @@ TEST(MetricsCApi, SnapshotAndRead) {
   EXPECT_EQ(v, 17u);
 }
 
-#else  // !SCIOTO_METRICS_ENABLED
-
-TEST(Metrics, CompiledOut) {
-  GTEST_SKIP() << "built with SCIOTO_METRICS=OFF; only the shared stats "
-                  "helpers are testable";
-}
-
-#endif  // SCIOTO_METRICS_ENABLED

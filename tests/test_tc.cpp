@@ -1,6 +1,6 @@
 // End-to-end tests of the TaskCollection: seeding, dynamic spawning, work
 // stealing, common local objects, statistics, reset/reuse, affinity
-// placement, load-balancing toggle, the C API shim, and the TaskDag
+// placement, load-balancing toggle, the C API shim, and the DAG
 // dependency extension.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <set>
 #include <vector>
 
-#include "scioto/deps.hpp"
+#include "dag/dag.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -414,18 +414,18 @@ TEST(TcMulticore, IntraNodeRmaIsCheaper) {
   });
 }
 
-// ---- TaskDag dependency extension (§8) ----
+// ---- DAG dependency extension (§8) ----
 
 TEST_P(TcBackends, DagChainExecutesInOrder) {
   std::vector<int> order;
   std::mutex m;
   testing::run(3, GetParam(), [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);
+    dag::DagScheduler dag(tc);
     constexpr int kLen = 12;
-    std::vector<TaskDag::NodeId> ids;
+    std::vector<dag::NodeId> ids;
     for (int i = 0; i < kLen; ++i) {
-      ids.push_back(dag.add_node(i % rt.nprocs(), [&, i] {
+      ids.push_back(dag.add_node(i % rt.nprocs(), [&, i](dag::NodeCtx&) {
         std::lock_guard<std::mutex> g(m);
         order.push_back(i);
       }));
@@ -448,17 +448,17 @@ TEST_P(TcBackends, DagDiamondJoinWaitsForBothBranches) {
   std::atomic<bool> violated{false};
   testing::run(4, GetParam(), [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);
-    auto a = dag.add_node(0, [&] { stage.fetch_add(1); });
-    auto b = dag.add_node(1, [&] {
+    dag::DagScheduler dag(tc);
+    auto a = dag.add_node(0, [&](dag::NodeCtx&) { stage.fetch_add(1); });
+    auto b = dag.add_node(1, [&](dag::NodeCtx&) {
       if (stage.load() < 1) violated = true;
       stage.fetch_add(1);
     });
-    auto c = dag.add_node(2, [&] {
+    auto c = dag.add_node(2, [&](dag::NodeCtx&) {
       if (stage.load() < 1) violated = true;
       stage.fetch_add(1);
     });
-    auto d = dag.add_node(3, [&] {
+    auto d = dag.add_node(3, [&](dag::NodeCtx&) {
       if (stage.load() < 3) violated = true;  // both branches must be done
       stage.fetch_add(1);
     });
@@ -477,11 +477,12 @@ TEST_P(TcBackends, DagWideFanOutAllExecute) {
   std::atomic<int> leaves{0};
   testing::run(4, GetParam(), [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);
-    auto root = dag.add_node(0, [] {});
-    auto join = dag.add_node(0, [] {});
+    dag::DagScheduler dag(tc);
+    auto root = dag.add_node(0, [](dag::NodeCtx&) {});
+    auto join = dag.add_node(0, [](dag::NodeCtx&) {});
     for (int i = 0; i < 64; ++i) {
-      auto leaf = dag.add_node(i % rt.nprocs(), [&] { leaves.fetch_add(1); });
+      auto leaf = dag.add_node(i % rt.nprocs(),
+                               [&](dag::NodeCtx&) { leaves.fetch_add(1); });
       dag.add_edge(root, leaf);
       dag.add_edge(leaf, join);
     }
@@ -494,9 +495,9 @@ TEST_P(TcBackends, DagWideFanOutAllExecute) {
 TEST_P(TcBackends, DagCycleDetected) {
   testing::run(2, GetParam(), [&](Runtime& rt) {
     TaskCollection tc(rt, small_cfg());
-    TaskDag dag(tc);
-    auto a = dag.add_node(0, [] {});
-    auto b = dag.add_node(1, [] {});
+    dag::DagScheduler dag(tc);
+    auto a = dag.add_node(0, [](dag::NodeCtx&) {});
+    auto b = dag.add_node(1, [](dag::NodeCtx&) {});
     dag.add_edge(a, b);
     dag.add_edge(b, a);
     EXPECT_THROW(dag.execute(), Error);

@@ -232,8 +232,6 @@ class JsonParser {
   std::size_t pos_ = 0;
 };
 
-#if SCIOTO_TRACE_ENABLED
-
 // ---- Traced workload fixture: small UTS run on the sim backend ----
 
 struct TracedRun {
@@ -472,8 +470,6 @@ TEST(TraceSession, RingDropAccountingUnderTinyCapacity) {
   EXPECT_EQ(json.find("\"dropped\":0,"), std::string::npos);
   trace::stop();
 }
-
-#endif  // SCIOTO_TRACE_ENABLED
 
 }  // namespace
 }  // namespace scioto
