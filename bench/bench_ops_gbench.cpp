@@ -1,12 +1,15 @@
 // Real-hardware microbenchmarks (google-benchmark) over the *threads*
-// backend: the actual data-structure costs of the queue, RMW, SHA-1 and
-// fiber-switch primitives on this host, complementing bench_table1_ops'
-// virtual-time reproduction of the paper's Table 1.
+// backend: the actual data-structure costs of the queue, RMW, SHA-1,
+// fiber-switch and Cholesky tile-kernel primitives on this host,
+// complementing bench_table1_ops' virtual-time reproduction of the paper's
+// Table 1.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
 #include <vector>
 
+#include "base/linalg.hpp"
+#include "base/rng.hpp"
 #include "base/sha1.hpp"
 #include "pgas/runtime.hpp"
 #include "scioto/queue.hpp"
@@ -45,6 +48,63 @@ void BM_Sha1Hash24(benchmark::State& state) {
   benchmark::DoNotOptimize(buf);
 }
 BENCHMARK(BM_Sha1Hash24);
+
+// Cholesky tile kernels at the tile size the DAG Cholesky runs (b = 16).
+// Each call updates its own previous output in place, so no call can be
+// hoisted out of the loop.
+constexpr std::int64_t kTile = 16;
+
+std::vector<double> random_tile(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<double> m(static_cast<std::size_t>(kTile * kTile));
+  for (double& x : m) x = rng.uniform(-1, 1);
+  return m;
+}
+
+// C -= A B^T: C drifts linearly, never into denormals.
+void BM_GemmTile16(benchmark::State& state) {
+  const std::vector<double> a = random_tile(1), b = random_tile(2);
+  std::vector<double> c = random_tile(3);
+  for (auto _ : state) {
+    gemm_tile(c.data(), a.data(), b.data(), kTile);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GemmTile16);
+
+void BM_SyrkTile16(benchmark::State& state) {
+  const std::vector<double> a = random_tile(1);
+  std::vector<double> c = random_tile(3);
+  for (auto _ : state) {
+    syrk_tile(c.data(), a.data(), kTile);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SyrkTile16);
+
+// X = X L^-T with L built from 2 x 2 diagonal blocks [[1, 0], [a, -1]]:
+// L is its own inverse, so repeated solves cycle instead of shrinking into
+// denormals. The kernel does the same work for any values.
+void BM_TrsmTile16(benchmark::State& state) {
+  std::vector<double> l(static_cast<std::size_t>(kTile * kTile), 0.0);
+  const std::vector<double> r = random_tile(4);
+  for (std::int64_t i = 0; i < kTile; ++i) {
+    l[static_cast<std::size_t>(i * kTile + i)] = i % 2 == 0 ? 1.0 : -1.0;
+    if (i % 2 == 1) {
+      l[static_cast<std::size_t>(i * kTile + i - 1)] =
+          r[static_cast<std::size_t>(i)];
+    }
+  }
+  std::vector<double> x = random_tile(5);
+  for (auto _ : state) {
+    trsm_tile(x.data(), l.data(), kTile);
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_TrsmTile16);
 
 // The sim engine's context switch: each iteration resumes two fibers that
 // yield straight back, i.e. two round trips (four switches).

@@ -84,15 +84,16 @@ void fill_spd(pgas::Runtime& rt, ga::GlobalArray& m) {
   m.sync();
 }
 
-/// Rank 0 pulls the factored matrix, rebuilds L L^T from the lower
-/// triangle, and compares against the generator; the scalar result is
-/// broadcast through the (dead-rank-safe) reduction.
-double verify_residual(pgas::Runtime& rt, ga::GlobalArray& m) {
+/// Rank 0 pulls the factored matrix, digests its bytes, rebuilds L L^T
+/// from the lower triangle, and compares against the generator; the
+/// residual is broadcast through the (dead-rank-safe) reduction.
+void verify(pgas::Runtime& rt, ga::GlobalArray& m, CholeskyResult& out) {
   const std::int64_t n = m.rows();
   double res = 0;
   if (rt.me() == 0) {
     std::vector<double> l(static_cast<std::size_t>(n * n));
     m.get(0, n, 0, n, l.data(), n);
+    out.factor_sha1 = Sha1::hash(l.data(), l.size() * sizeof(double));
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t j = i + 1; j < n; ++j) {
         l[static_cast<std::size_t>(i * n + j)] = 0.0;  // untouched upper
@@ -114,7 +115,7 @@ double verify_residual(pgas::Runtime& rt, ga::GlobalArray& m) {
     }
     res = std::sqrt(num / den);
   }
-  return rt.allreduce_max(res);
+  out.residual = rt.allreduce_max(res);
 }
 
 }  // namespace
@@ -224,7 +225,7 @@ CholeskyResult cholesky_dag(pgas::Runtime& rt, const CholeskyConfig& cfg) {
   res.dag = dg.stats_global();
   res.tasks_run = res.dag.nodes_run;
   m.sync();
-  res.residual = verify_residual(rt, m);
+  verify(rt, m, res);
   m.destroy();
   tc.destroy();
   return res;
@@ -271,7 +272,7 @@ CholeskyResult cholesky_static(pgas::Runtime& rt,
   CholeskyResult res;
   res.elapsed_ms = to_ms(rt.allreduce_max(rt.now() - t0));
   res.tasks_run = rt.allreduce_sum(local_tasks);
-  res.residual = verify_residual(rt, m);
+  verify(rt, m, res);
   m.destroy();
   return res;
 }

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 
+#include "base/sha1.hpp"
 #include "base/types.hpp"
 #include "dag/dag.hpp"
 
@@ -52,6 +53,9 @@ struct CholeskyResult {
   double elapsed_ms = 0;
   /// ||L L^T - A||_F / ||A||_F, computed on rank 0 and broadcast.
   double residual = 0;
+  /// SHA-1 of the factored n x n matrix's bytes, row-major, the
+  /// untouched upper triangle included. Set on rank 0 only.
+  Sha1::Digest factor_sha1{};
   /// Tile-kernel tasks executed fleet-wide.
   std::uint64_t tasks_run = 0;
   /// Scheduler stats (zero-initialized for the static baseline).

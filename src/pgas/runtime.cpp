@@ -42,10 +42,9 @@ SegId Runtime::seg_alloc(std::size_t bytes_per_rank) {
     Segment& s = segments_[static_cast<std::size_t>(id)];
     s.per_rank = bytes_per_rank;
     s.stride = align_up(std::max<std::size_t>(bytes_per_rank, 1), 64);
-    s.mem = std::make_unique<std::byte[]>(
-        s.stride * static_cast<std::size_t>(nprocs()));
-    std::memset(s.mem.get(), 0,
-                s.stride * static_cast<std::size_t>(nprocs()));
+    const std::size_t bytes = s.stride * static_cast<std::size_t>(nprocs());
+    s.mem.reset(static_cast<std::byte*>(::operator new[](bytes, kSegAlign)));
+    std::memset(s.mem.get(), 0, bytes);
     s.live = true;
     nsegments_.store(id + 1, std::memory_order_release);
   }

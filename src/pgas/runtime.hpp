@@ -20,6 +20,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -273,8 +274,15 @@ class Runtime {
   static constexpr std::size_t kCollSlotBytes = 256;
   static constexpr std::size_t kMaxSegments = 4096;
 
+  // Segment memory starts on a cache line, so with the 64-byte stride
+  // every rank's slot does too (alignas(64) objects live at seg_ptr).
+  static constexpr std::align_val_t kSegAlign{64};
+  struct AlignedDelete {
+    void operator()(std::byte* p) const { ::operator delete[](p, kSegAlign); }
+  };
+
   struct Segment {
-    std::unique_ptr<std::byte[]> mem;
+    std::unique_ptr<std::byte[], AlignedDelete> mem;
     std::size_t per_rank = 0;
     std::size_t stride = 0;
     bool live = false;

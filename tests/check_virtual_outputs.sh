@@ -2,9 +2,10 @@
 # Byte-identity check of the simulator's virtual-time outputs.
 #
 # Runs the Figure 7 and Figure 4 benches at a fixed configuration with
-# --trace and compares the SHA-256 of their stdout and Chrome trace files
-# against tests/virtual_outputs.sha256. Host-side changes (SHA-1, fiber
-# switch, allocator, ...) must leave every byte of these files unchanged;
+# --trace, and the tiled Cholesky bench, and compares the SHA-256 of their
+# stdout and Chrome trace files against tests/virtual_outputs.sha256.
+# Host-side changes (SHA-1, fiber switch, allocator, tile kernels, ...)
+# must leave every byte of these files unchanged;
 # only a deliberate cost-model or scheduling change may re-record them:
 #
 #   tests/check_virtual_outputs.sh build            # check
@@ -25,10 +26,12 @@ cd "$out"
   --trace=fig7.trace.json > fig7.stdout
 "$build/bench/bench_fig4_termination" --trials 3 --max-procs 64 \
   --trace=fig4.trace.json > fig4.stdout
+"$build/bench/bench_cholesky" --procs 8 --tile 16 --max-tiles 8 \
+  > cholesky.stdout
 
 if [ "${2:-}" = "--record" ]; then
   sha256sum fig7.stdout fig7.trace.json fig4.stdout fig4.trace.json \
-    > "$digests"
+    cholesky.stdout > "$digests"
   echo "recorded $digests"
 else
   sha256sum -c "$digests"
