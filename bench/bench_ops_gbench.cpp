@@ -1,19 +1,23 @@
 // Real-hardware microbenchmarks (google-benchmark) over the *threads*
 // backend: the actual data-structure costs of the queue, RMW, SHA-1,
-// fiber-switch and Cholesky tile-kernel primitives on this host,
+// fiber-switch and Cholesky tile-kernel primitives, and the DAG engine's
+// cost per node, on this host,
 // complementing bench_table1_ops' virtual-time reproduction of the paper's
 // Table 1.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "base/linalg.hpp"
 #include "base/rng.hpp"
 #include "base/sha1.hpp"
+#include "dag/dag.hpp"
 #include "pgas/runtime.hpp"
 #include "scioto/queue.hpp"
 #include "scioto/task.hpp"
+#include "scioto/task_collection.hpp"
 #include "sim/fiber.hpp"
 
 namespace {
@@ -196,6 +200,87 @@ void BM_FetchAdd(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_FetchAdd);
+
+// The dependence graph cholesky_dag builds for an nt x nt tile grid --
+// potrf(k), trsm(i, k), update(i, j, k) nodes in its order, every edge
+// versioned, one conflict group per multiply-downdated tile -- with empty
+// bodies, all homed on rank 0. Returns the node count.
+std::int64_t build_cholesky_shape(dag::DagScheduler& dg, int nt,
+                                  const dag::DataDep& dep) {
+  auto empty = [](dag::NodeCtx&) {};
+  const auto at = [nt](int i, int k) {
+    return static_cast<std::size_t>(i * nt + k);
+  };
+  std::vector<dag::NodeId> potrf(static_cast<std::size_t>(nt));
+  std::vector<dag::NodeId> trsm(at(nt, 0), -1);
+  std::vector<dag::GroupId> grp(at(nt, 0), dag::kNoGroup);
+  for (int k = 0; k < nt; ++k) {
+    potrf[static_cast<std::size_t>(k)] = dg.add_node(0, empty);
+    for (int i = k + 1; i < nt; ++i) {
+      trsm[at(i, k)] = dg.add_node(0, empty);
+      for (int j = k + 1; j <= i; ++j) {
+        if (grp[at(i, j)] == dag::kNoGroup && j >= 2) {
+          grp[at(i, j)] = dg.conflict_group();
+        }
+        dg.add_node(0, empty, grp[at(i, j)]);
+      }
+    }
+  }
+  // update(i, j, k) was added right after trsm(i, k).
+  const auto upd = [&](int i, int j, int k) {
+    return trsm[at(i, k)] + (j - k);
+  };
+  for (int k = 0; k < nt; ++k) {
+    const dag::NodeId p = potrf[static_cast<std::size_t>(k)];
+    for (int kp = 0; kp < k; ++kp) dg.add_edge(upd(k, k, kp), p, dep);
+    for (int i = k + 1; i < nt; ++i) {
+      const dag::NodeId t = trsm[at(i, k)];
+      dg.add_edge(p, t, dep);
+      for (int kp = 0; kp < k; ++kp) dg.add_edge(upd(i, k, kp), t, dep);
+      for (int j = k + 1; j <= i; ++j) {
+        dg.add_edge(t, upd(i, j, k), dep);
+        if (j != i) dg.add_edge(trsm[at(j, k)], upd(i, j, k), dep);
+      }
+    }
+  }
+  return static_cast<std::int64_t>(dg.num_nodes());
+}
+
+// The DAG engine's cost per node, task collection included: build and
+// execute the 64 x 64 tile-grid Cholesky graph (45760 nodes) with empty
+// bodies on one threads rank. `time_per_node` is the layer number; the
+// task collection's create/destroy stays outside the timed region.
+void BM_DagEmptyNodes(benchmark::State& state) {
+  constexpr int kTiles = 64;
+  std::int64_t nodes = 0;
+  pgas::run_spmd(rt_cfg(1), [&](pgas::Runtime& rt) {
+    dag::DataDep dep;
+    dep.seg = rt.seg_alloc(sizeof(std::int64_t));
+    dep.owner = 0;
+    dep.len = sizeof(std::int64_t);
+    for (auto _ : state) {
+      state.PauseTiming();
+      auto tc = std::make_unique<TaskCollection>(rt);
+      state.ResumeTiming();
+      {
+        dag::DagScheduler dg(*tc);
+        nodes = build_cholesky_shape(dg, kTiles, dep);
+        dg.execute();
+        benchmark::DoNotOptimize(dg.stats_local().nodes_run);
+      }
+      state.PauseTiming();
+      tc->destroy();
+      tc.reset();
+      state.ResumeTiming();
+    }
+    rt.seg_free(dep.seg);
+  });
+  state.counters["time_per_node"] = benchmark::Counter(
+      static_cast<double>(nodes),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DagEmptyNodes)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

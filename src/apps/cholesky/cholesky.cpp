@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "base/error.hpp"
@@ -62,6 +63,40 @@ void do_update(ga::GlobalArray& m, std::int64_t b, int i, int j, int k,
   }
   m.put(i * b, i * b + b, j * b, j * b + b, tb.r.data(), b);
 }
+
+/// What every cholesky_dag node body shares, reached through one pointer.
+struct DagCtx {
+  pgas::Runtime& rt;
+  ga::GlobalArray& m;
+  TileBuf& tb;
+  std::int64_t b;
+  TimeNs fc;
+};
+
+/// A cholesky_dag node body: potrf(k) is (k, k, k), trsm(i, k) is
+/// (i, k, k), the update of tile (i, j) at step k is (i, j, k) with
+/// k < j. Sixteen trivially copyable bytes fit std::function's inline
+/// buffer, so building the graph allocates nothing per node for bodies.
+struct TileTask {
+  const DagCtx* c;
+  std::uint16_t i, j, k;
+
+  void operator()(dag::NodeCtx&) const {
+    const std::int64_t b = c->b;
+    if (j != k) {
+      c->rt.charge((i == j ? syrk_flops(b) : gemm_flops(b)) * c->fc);
+      do_update(c->m, b, i, j, k, c->tb);
+    } else if (i != k) {
+      c->rt.charge(trsm_flops(b) * c->fc);
+      do_trsm(c->m, b, i, k, c->tb);
+    } else {
+      c->rt.charge(potrf_flops(b) * c->fc);
+      do_potrf(c->m, b, k, c->tb);
+    }
+  }
+};
+static_assert(sizeof(TileTask) == 16 &&
+              std::is_trivially_copyable_v<TileTask>);
 
 /// Tile-aligned row partition so every tile lives on exactly one rank.
 std::vector<std::int64_t> tile_split(int nt, std::int64_t b, int nranks) {
@@ -137,42 +172,48 @@ CholeskyResult cholesky_dag(pgas::Runtime& rt, const CholeskyConfig& cfg) {
   dag::DagScheduler dg(tc);
   TileBuf tb(b);
 
-  auto tile_owner = [&](int i) { return m.owner_of_row(i * b); };
+  SCIOTO_REQUIRE(nt <= 0xffff, "cholesky_dag: tile grid side " << nt
+                                    << " exceeds the 16-bit node index");
+  std::vector<Rank> tile_owner(static_cast<std::size_t>(nt));
+  for (int i = 0; i < nt; ++i) {
+    tile_owner[static_cast<std::size_t>(i)] = m.owner_of_row(i * b);
+  }
   // Version record naming tile (i, j)'s bytes: b rows of n doubles
   // starting at the tile's first element inside the owner's panel.
   auto tile_dep = [&](int i, int j) {
     dag::DataDep d;
     d.seg = m.seg();
-    d.owner = tile_owner(i);
+    d.owner = tile_owner[static_cast<std::size_t>(i)];
     d.offset = m.elem_offset(i * b, j * b);
     d.len = static_cast<std::size_t>(b * n) * sizeof(double);
     return d;
   };
 
-  // Node ids: potrf[k]; trsm[(i,k)] for i>k; update[(i,j,k)] for
-  // k<j<=i. Downdates of one trailing tile commute, so they share a
-  // conflict group instead of edges -- the engine serializes them in
-  // whatever order they become ready.
+  // Node ids: potrf[k]; trsm[(i,k)] for i>k; the updates (i, j, k) for
+  // k<j<=i are added right after trsm(i, k), so their ids follow it.
+  // Downdates of one trailing tile commute, so they share a conflict
+  // group instead of edges -- the engine serializes them in whatever
+  // order they become ready.
   std::vector<dag::NodeId> potrf_id(static_cast<std::size_t>(nt));
   std::vector<dag::NodeId> trsm_id(static_cast<std::size_t>(nt) * nt, -1);
-  std::vector<dag::NodeId> upd_id(static_cast<std::size_t>(nt) * nt * nt,
-                                  -1);
+  auto upd_id = [&](int i, int j, int k) {
+    return trsm_id[static_cast<std::size_t>(i * nt + k)] + (j - k);
+  };
   std::vector<dag::GroupId> tile_grp(static_cast<std::size_t>(nt) * nt,
                                      dag::kNoGroup);
-  const std::int64_t fc = cfg.flop_cost;
+  const DagCtx ctx{rt, m, tb, b, cfg.flop_cost};
+  auto task = [&ctx](int i, int j, int k) {
+    return TileTask{&ctx, static_cast<std::uint16_t>(i),
+                    static_cast<std::uint16_t>(j),
+                    static_cast<std::uint16_t>(k)};
+  };
   for (int k = 0; k < nt; ++k) {
     potrf_id[static_cast<std::size_t>(k)] =
-        dg.add_node(tile_owner(k), [&rt, &m, &tb, b, k, fc](dag::NodeCtx&) {
-          rt.charge(potrf_flops(b) * fc);
-          do_potrf(m, b, k, tb);
-        });
+        dg.add_node(tile_owner[static_cast<std::size_t>(k)], task(k, k, k));
     for (int i = k + 1; i < nt; ++i) {
+      const Rank home = tile_owner[static_cast<std::size_t>(i)];
       trsm_id[static_cast<std::size_t>(i * nt + k)] =
-          dg.add_node(tile_owner(i),
-                      [&rt, &m, &tb, b, i, k, fc](dag::NodeCtx&) {
-                        rt.charge(trsm_flops(b) * fc);
-                        do_trsm(m, b, i, k, tb);
-                      });
+          dg.add_node(home, task(i, k, k));
       for (int j = k + 1; j <= i; ++j) {
         dag::GroupId& g = tile_grp[static_cast<std::size_t>(i * nt + j)];
         if (g == dag::kNoGroup && j >= 2) {
@@ -181,14 +222,7 @@ CholeskyResult cholesky_dag(pgas::Runtime& rt, const CholeskyConfig& cfg) {
           // ordering) is all they need.
           g = dg.conflict_group();
         }
-        upd_id[static_cast<std::size_t>((i * nt + j) * nt + k)] =
-            dg.add_node(
-                tile_owner(i),
-                [&rt, &m, &tb, b, i, j, k, fc](dag::NodeCtx&) {
-                  rt.charge((i == j ? syrk_flops(b) : gemm_flops(b)) * fc);
-                  do_update(m, b, i, j, k, tb);
-                },
-                g);
+        dg.add_node(home, task(i, j, k), g);
       }
     }
   }
@@ -196,19 +230,17 @@ CholeskyResult cholesky_dag(pgas::Runtime& rt, const CholeskyConfig& cfg) {
     // Everything that downdated tile (k, k) must land before potrf reads
     // it; the data edge carries the tile's version.
     for (int kp = 0; kp < k; ++kp) {
-      dg.add_edge(upd_id[static_cast<std::size_t>((k * nt + k) * nt + kp)],
-                  potrf_id[static_cast<std::size_t>(k)], tile_dep(k, k));
+      dg.add_edge(upd_id(k, k, kp), potrf_id[static_cast<std::size_t>(k)],
+                  tile_dep(k, k));
     }
     for (int i = k + 1; i < nt; ++i) {
       const dag::NodeId t = trsm_id[static_cast<std::size_t>(i * nt + k)];
       dg.add_edge(potrf_id[static_cast<std::size_t>(k)], t, tile_dep(k, k));
       for (int kp = 0; kp < k; ++kp) {
-        dg.add_edge(upd_id[static_cast<std::size_t>((i * nt + k) * nt + kp)],
-                    t, tile_dep(i, k));
+        dg.add_edge(upd_id(i, k, kp), t, tile_dep(i, k));
       }
       for (int j = k + 1; j <= i; ++j) {
-        const dag::NodeId u =
-            upd_id[static_cast<std::size_t>((i * nt + j) * nt + k)];
+        const dag::NodeId u = upd_id(i, j, k);
         dg.add_edge(t, u, tile_dep(i, k));
         if (j != i) {
           dg.add_edge(trsm_id[static_cast<std::size_t>(j * nt + k)], u,

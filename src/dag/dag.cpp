@@ -23,6 +23,13 @@ struct DynHeader {
 };
 static_assert(sizeof(DynHeader) == 24);
 
+/// A dynamic node's descriptor is [DynHeader][max_dynamic_succ successor
+/// ids][args]; this is where the args start.
+std::size_t desc_args_offset(const DagConfig& cfg) {
+  return sizeof(DynHeader) +
+         static_cast<std::size_t>(cfg.max_dynamic_succ) * sizeof(NodeId);
+}
+
 /// Nonzero lock-word token identifying the holder (ids are unique, so
 /// id + 1 never collides and 0 stays the released state).
 std::int64_t lock_token(NodeId id) { return id + 1; }
@@ -50,18 +57,18 @@ DagScheduler::DagScheduler(TaskCollection& tc, DagConfig cfg)
                  "max_dynamic_per_rank out of range");
   SCIOTO_REQUIRE(cfg_.max_dynamic_body >= 0 && cfg_.max_dynamic_succ >= 0,
                  "negative dynamic-node limits");
+  SCIOTO_REQUIRE(static_cast<std::int32_t>(sizeof(DagBody)) <=
+                     tc_.config().max_task_body,
+                 "DagScheduler needs max_task_body >= " << sizeof(DagBody));
   dispatch_handle_ =
       tc_.register_callback([this](TaskContext& ctx) { run_node(ctx); });
   const std::size_t n = static_cast<std::size_t>(rt_.nprocs());
   slots_per_rank_.assign(n, 0);
   vslots_per_rank_.assign(n, 0);
-  desc_stride_ = align_up(
-      sizeof(DynHeader) +
-          static_cast<std::size_t>(cfg_.max_dynamic_succ) * sizeof(NodeId) +
-          static_cast<std::size_t>(cfg_.max_dynamic_body),
-      alignof(std::int64_t));
+  desc_stride_ = align_up(desc_args_offset(cfg_) +
+                              static_cast<std::size_t>(cfg_.max_dynamic_body),
+                          alignof(std::int64_t));
   dyn_buf_.resize(desc_stride_);
-  pub_buf_.resize(desc_stride_);
 }
 
 NodeId DagScheduler::add_node(Rank home, NodeFn fn, GroupId group) {
@@ -70,12 +77,15 @@ NodeId DagScheduler::add_node(Rank home, NodeFn fn, GroupId group) {
                  "invalid home rank " << home);
   SCIOTO_REQUIRE(group == kNoGroup || (group >= 0 && group < ngroups_),
                  "add_node with unknown conflict group " << group);
+  SCIOTO_REQUIRE(nodes_.size() < kMaxStatic,
+                 "add_node: more than " << kMaxStatic << " static nodes");
   Node n;
   n.home = home;
-  n.fn = std::move(fn);
   n.group = group;
-  n.home_slot = slots_per_rank_[static_cast<std::size_t>(home)]++;
-  nodes_.push_back(std::move(n));
+  n.home_slot = static_cast<std::int32_t>(
+      slots_per_rank_[static_cast<std::size_t>(home)]++);
+  nodes_.push_back(n);
+  fns_.push_back(std::move(fn));
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -91,9 +101,11 @@ void DagScheduler::add_edge(NodeId pred, NodeId succ) {
                  "add_edge: succ id " << succ << " out of range [0, "
                                       << nodes_.size() << ")");
   SCIOTO_REQUIRE(pred != succ, "add_edge: self-dependency on node " << pred);
-  nodes_[static_cast<std::size_t>(pred)].successors.push_back(succ);
+  SCIOTO_REQUIRE(edges_.size() < kMaxStatic,
+                 "add_edge: more than " << kMaxStatic << " edges");
   nodes_[static_cast<std::size_t>(succ)].deps++;
-  nedges_++;
+  edges_.push_back({static_cast<std::int32_t>(pred),
+                    static_cast<std::int32_t>(succ), -1, kNoRank});
 }
 
 void DagScheduler::add_edge(NodeId pred, NodeId succ, const DataDep& data) {
@@ -102,16 +114,11 @@ void DagScheduler::add_edge(NodeId pred, NodeId succ, const DataDep& data) {
                  "add_edge: malformed DataDep (seg=" << data.seg << ", owner="
                      << data.owner << ", len=" << data.len << ")");
   add_edge(pred, succ);  // the version edge is also a control edge
-  Node& s = nodes_[static_cast<std::size_t>(succ)];
-  VEdge e;
-  e.pred = pred;
-  e.succ = succ;
-  e.data = data;
-  e.slot = vslots_per_rank_[static_cast<std::size_t>(s.home)]++;
-  const auto ei = static_cast<std::int32_t>(vedges_.size());
-  vedges_.push_back(e);
-  s.vin.push_back(ei);
-  nodes_[static_cast<std::size_t>(pred)].vout.push_back(ei);
+  EdgeRec& e = edges_.back();
+  const Rank home = nodes_[static_cast<std::size_t>(succ)].home;
+  e.vslot = static_cast<std::int32_t>(
+      vslots_per_rank_[static_cast<std::size_t>(home)]++);
+  e.owner = data.owner;
 }
 
 GroupId DagScheduler::conflict_group() {
@@ -135,7 +142,42 @@ KindId DagScheduler::register_kind(NodeFn fn) {
   return static_cast<KindId>(kinds_.size() - 1);
 }
 
-// ---- Cycle detection -----------------------------------------------------
+// ---- Graph storage and cycle detection ---------------------------------
+
+void DagScheduler::build_csr() {
+  // One stable counting sort of the edge list by pred (all edges) and by
+  // succ (versioned edges only). Stability keeps every row in add_edge
+  // order, and the release, fence, bump and gate loops walk rows in
+  // order, so the engine's one-sided ops follow add_edge order -- the
+  // order the virtual-time outputs are pinned to.
+  const std::size_t n = nodes_.size();
+  out_off_.assign(n + 1, 0);
+  vin_off_.assign(n + 1, 0);
+  for (const EdgeRec& e : edges_) {
+    ++out_off_[static_cast<std::size_t>(e.pred) + 1];
+    if (e.vslot >= 0) ++vin_off_[static_cast<std::size_t>(e.succ) + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    out_off_[i + 1] += out_off_[i];
+    vin_off_[i + 1] += vin_off_[i];
+  }
+  out_.resize(edges_.size());
+  vin_slot_.resize(static_cast<std::size_t>(vin_off_[n]));
+  // Scatter with off[u]++ as the cursor: afterwards off[u] holds row u's
+  // end, i.e. row u+1's start, so one shift right restores the offsets.
+  for (const EdgeRec& e : edges_) {
+    const auto p = static_cast<std::size_t>(e.pred);
+    out_[static_cast<std::size_t>(out_off_[p]++)] = {e.succ, e.vslot, e.owner};
+    if (e.vslot >= 0) {
+      const auto v = static_cast<std::size_t>(e.succ);
+      vin_slot_[static_cast<std::size_t>(vin_off_[v]++)] = e.vslot;
+    }
+  }
+  std::copy_backward(out_off_.begin(), out_off_.end() - 1, out_off_.end());
+  std::copy_backward(vin_off_.begin(), vin_off_.end() - 1, vin_off_.end());
+  out_off_[0] = 0;
+  vin_off_[0] = 0;
+}
 
 void DagScheduler::check_acyclic_and_depths() {
   const std::size_t n = nodes_.size();
@@ -145,18 +187,20 @@ void DagScheduler::check_acyclic_and_depths() {
   }
   // Kahn's algorithm doubles as the critical-path depth computation the
   // trace/metrics plane reports.
-  std::vector<NodeId> order;
+  std::vector<std::int32_t> order;
   order.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (indeg[i] == 0) {
-      order.push_back(static_cast<NodeId>(i));
+      order.push_back(static_cast<std::int32_t>(i));
     }
   }
   for (std::size_t head = 0; head < order.size(); ++head) {
-    const Node& u = nodes_[static_cast<std::size_t>(order[head])];
-    for (NodeId s : u.successors) {
+    const auto u = static_cast<std::size_t>(order[head]);
+    const std::int32_t du = nodes_[u].depth + 1;
+    for (std::int32_t e = out_off_[u]; e < out_off_[u + 1]; ++e) {
+      const std::int32_t s = out_[static_cast<std::size_t>(e)].succ;
       Node& v = nodes_[static_cast<std::size_t>(s)];
-      v.depth = std::max(v.depth, u.depth + 1);
+      v.depth = std::max(v.depth, du);
       if (--indeg[static_cast<std::size_t>(s)] == 0) {
         order.push_back(s);
       }
@@ -167,12 +211,16 @@ void DagScheduler::check_acyclic_and_depths() {
   }
   // Some nodes never topologically sorted: walk predecessors within the
   // unsorted remainder (every unsorted node has one) until a node repeats,
-  // then report the enclosed cycle in forward edge order.
-  std::vector<std::vector<NodeId>> preds(n);
+  // then report the enclosed cycle in forward edge order. The walk takes
+  // each node's first unsorted predecessor in id order.
+  std::vector<std::int32_t> first_pred(n, -1);
   for (std::size_t i = 0; i < n; ++i) {
-    for (NodeId s : nodes_[i].successors) {
-      if (indeg[static_cast<std::size_t>(s)] > 0 && indeg[i] > 0) {
-        preds[static_cast<std::size_t>(s)].push_back(static_cast<NodeId>(i));
+    if (indeg[i] == 0) continue;
+    for (std::int32_t e = out_off_[i]; e < out_off_[i + 1]; ++e) {
+      const auto s =
+          static_cast<std::size_t>(out_[static_cast<std::size_t>(e)].succ);
+      if (indeg[s] > 0 && first_pred[s] < 0) {
+        first_pred[s] = static_cast<std::int32_t>(i);
       }
     }
   }
@@ -189,8 +237,8 @@ void DagScheduler::check_acyclic_and_depths() {
     pos[static_cast<std::size_t>(cur)] =
         static_cast<std::int64_t>(walk.size());
     walk.push_back(cur);
-    SCIOTO_CHECK(!preds[static_cast<std::size_t>(cur)].empty());
-    cur = preds[static_cast<std::size_t>(cur)].front();
+    cur = first_pred[static_cast<std::size_t>(cur)];
+    SCIOTO_CHECK(cur >= 0);
   }
   // walk[pos[cur]..] is the cycle in reverse (predecessor) order.
   std::ostringstream msg;
@@ -209,14 +257,18 @@ void DagScheduler::check_acyclic_and_depths() {
 void DagScheduler::execute() {
   SCIOTO_REQUIRE(!executed_, "DagScheduler::execute called twice");
   // Cycle check first: it is local and replicated, so every rank throws
-  // identically before any collective is entered.
+  // identically before any collective is entered. The edge list is kept
+  // until it passes, so a rejected graph can still be amended.
+  build_csr();
   check_acyclic_and_depths();
   executed_ = true;
+  std::vector<EdgeRec>().swap(edges_);
 
   // The replicated build must agree across ranks.
   struct BuildSig {
     std::int64_t v[4];
-  } sig{{static_cast<std::int64_t>(nodes_.size()), nedges_,
+  } sig{{static_cast<std::int64_t>(nodes_.size()),
+         static_cast<std::int64_t>(out_.size()),
          static_cast<std::int64_t>(ngroups_),
          static_cast<std::int64_t>(kinds_.size())}};
   BuildSig total = rt_.allreduce(sig, [](BuildSig a, const BuildSig& b) {
@@ -242,14 +294,13 @@ void DagScheduler::execute() {
   ctr_base_ = sizeof(std::int64_t);  // word 0: dynamic-arena cursor
   v_base_ = ctr_base_ + static_cast<std::size_t>(max_slots) * 8;
   lock_base_ = v_base_ + static_cast<std::size_t>(max_vslots) * 8;
+  // Dynamic nodes need a kind, so without one the arena has no slots.
+  dyn_cap_ = kinds_.empty() ? 0 : cfg_.max_dynamic_per_rank;
   dyn_ctr_base_ = lock_base_ + static_cast<std::size_t>(lock_slots) * 8;
-  desc_base_ =
-      dyn_ctr_base_ + static_cast<std::size_t>(cfg_.max_dynamic_per_rank) * 8;
+  desc_base_ = dyn_ctr_base_ + static_cast<std::size_t>(dyn_cap_) * 8;
   const std::size_t bytes =
-      desc_base_ +
-      static_cast<std::size_t>(cfg_.max_dynamic_per_rank) * desc_stride_;
-  seg_ = rt_.seg_alloc(bytes);
-  std::memset(rt_.seg_ptr(seg_, rt_.me()), 0, bytes);
+      desc_base_ + static_cast<std::size_t>(dyn_cap_) * desc_stride_;
+  seg_ = rt_.seg_alloc(bytes);  // zeroed: cursor, versions, locks, arena
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& nd = nodes_[i];
     if (nd.home == rt_.me()) {
@@ -322,9 +373,11 @@ void DagScheduler::satisfy(NodeId id, std::int64_t n) {
   SCIOTO_REQUIRE(n >= 1, "satisfy with n < 1");
   SCIOTO_REQUIRE(id >= 0, "satisfy: invalid node id " << id);
   if (is_dyn(id)) {
-    SCIOTO_REQUIRE(dyn_home(id) < rt_.nprocs() &&
-                       dyn_idx(id) < cfg_.max_dynamic_per_rank,
-                   "satisfy: malformed dynamic node id " << id);
+    SCIOTO_REQUIRE(dyn_home(id) < rt_.nprocs() && dyn_idx(id) < dyn_cap_,
+                   "satisfy: dynamic node id "
+                       << id << " names no arena slot (" << dyn_cap_
+                       << " per rank; the arena exists only when a kind is "
+                          "registered)");
   } else {
     SCIOTO_REQUIRE(static_cast<std::size_t>(id) < nodes_.size(),
                    "satisfy: invalid node id " << id);
@@ -343,27 +396,29 @@ void DagScheduler::run_node(TaskContext& tctx) {
   const NodeFn* fn = nullptr;
   const void* args = nullptr;
   std::int32_t args_len = 0;
-  std::vector<NodeId> dyn_succ;
+  const std::byte* dyn_succ = nullptr;  // inside dyn_buf_
+  std::int32_t ndyn_succ = 0;
 
   if (!is_dyn(id)) {
-    Node& nd = nodes_[static_cast<std::size_t>(id)];
+    const auto u = static_cast<std::size_t>(id);
+    const Node& nd = nodes_[u];
     group = nd.group;
     depth = nd.depth;
     // Version gate (the RAW check): every versioned in-edge's bump must
     // have landed. The ready-decrement is a cheap control message that can
     // overtake the producer's bulk payload; this gate is what makes the
     // overtake harmless.
-    for (std::int32_t ei : nd.vin) {
-      const VEdge& e = vedges_[static_cast<std::size_t>(ei)];
+    for (std::int32_t e = vin_off_[u]; e < vin_off_[u + 1]; ++e) {
       std::uint64_t v = 0;
       pgas::OpStatus st = rt_.get_u64_with_retry(
-          seg_, nd.home, v_base_ + static_cast<std::size_t>(e.slot) * 8, &v);
+          seg_, nd.home, version_offset(vin_slot_[static_cast<std::size_t>(e)]),
+          &v);
       if (st == pgas::OpStatus::Dropped || v == 0) {
         defer(id, group, /*version_wait=*/true);
         return;
       }
     }
-    fn = &nd.fn;
+    fn = &fns_[u];
   } else {
     // Dynamic node: fetch its descriptor from the home-rank arena.
     const Rank home = dyn_home(id);
@@ -378,13 +433,11 @@ void DagScheduler::run_node(TaskContext& tctx) {
     group = h->group;
     depth = h->depth;
     args_len = h->body_len;
-    const std::byte* base = dyn_buf_.data() + sizeof(DynHeader);
-    dyn_succ.resize(static_cast<std::size_t>(h->nsucc));
-    if (!dyn_succ.empty()) {  // an empty vector's data() may be null
-      std::memcpy(dyn_succ.data(), base, dyn_succ.size() * sizeof(NodeId));
-    }
-    args = base + static_cast<std::size_t>(cfg_.max_dynamic_succ) *
-                      sizeof(NodeId);
+    // dyn_buf_ stays intact until the successors are released below:
+    // nodes do not nest, and nothing else on this rank fetches into it.
+    dyn_succ = dyn_buf_.data() + sizeof(DynHeader);
+    ndyn_succ = h->nsucc;
+    args = dyn_buf_.data() + desc_args_offset(cfg_);
     fn = &kinds_[static_cast<std::size_t>(h->kind)];
   }
 
@@ -412,7 +465,7 @@ void DagScheduler::run_node(TaskContext& tctx) {
 
   SCIOTO_CHECK(!in_node_);
   in_node_ = true;
-  staged_.clear();
+  clear_staged();
   NodeCtx nctx(*this, id, depth, args, args_len);
   (*fn)(nctx);
   in_node_ = false;
@@ -435,15 +488,12 @@ void DagScheduler::run_node(TaskContext& tctx) {
   // not delivery order, provides the RAW safety.
   publish_and_release_children();
   if (!is_dyn(id)) {
-    Node& nd = nodes_[static_cast<std::size_t>(id)];
-    for (NodeId s : nd.successors) {
-      decrement(s, 1);
-    }
-    if (!nd.vout.empty()) {
-      bump_versions(nd);
-    }
+    release_successors(static_cast<std::size_t>(id));
   } else {
-    for (NodeId s : dyn_succ) {
+    for (std::int32_t i = 0; i < ndyn_succ; ++i) {
+      NodeId s;
+      std::memcpy(&s, dyn_succ + static_cast<std::size_t>(i) * sizeof(NodeId),
+                  sizeof(NodeId));
       decrement(s, 1);
     }
   }
@@ -483,11 +533,25 @@ void DagScheduler::fire(NodeId id, Rank home, std::int32_t depth) {
     stats_.remote_fires++;
     SCIOTO_METRIC_CTR(me, metrics::Ctr::DagRemoteFires, 1);
   }
-  Task t = tc_.task_create(sizeof(DagBody), dispatch_handle_);
-  t.body_as<DagBody>().node = id;
   // Home-rank affinity: the node lands at the head of its home's queue
   // (dead homes are redirected locally by the collection itself).
-  tc_.add(home, kAffinityHigh, t);
+  enqueue(id, home, kAffinityHigh);
+}
+
+void DagScheduler::enqueue(NodeId id, Rank where, int affinity) {
+  // The dispatch descriptor, byte for byte what task_create(sizeof(DagBody),
+  // dispatch_handle_) builds, but on the stack.
+  struct Descriptor {
+    TaskHeader header;
+    DagBody body;
+  };
+  static_assert(sizeof(Descriptor) == sizeof(TaskHeader) + sizeof(DagBody));
+  Descriptor d;
+  d.header.callback = dispatch_handle_;
+  d.header.body_bytes = sizeof(DagBody);
+  d.body.node = id;
+  tc_.add_raw(where, affinity, reinterpret_cast<const std::byte*>(&d),
+              sizeof(d));
 }
 
 void DagScheduler::defer(NodeId id, GroupId group, bool version_wait) {
@@ -506,9 +570,7 @@ void DagScheduler::defer(NodeId id, GroupId group, bool version_wait) {
     // session deferred nodes go back through the queue instead -- queue
     // contents survive a kill via the adoption path, so composition with
     // the detector/lease machinery is preserved.
-    Task t = tc_.task_create(sizeof(DagBody), dispatch_handle_);
-    t.body_as<DagBody>().node = id;
-    tc_.add(me, kAffinityLow, t);
+    enqueue(id, me, kAffinityLow);
     return;
   }
   parked_.push_back({id, group});
@@ -519,12 +581,13 @@ bool DagScheduler::gates_look_open(const ParkEntry& e) {
   // Advisory one-sided reads; the dispatch re-checks authoritatively (the
   // CAS can still lose a race and re-defer, which is harmless).
   if (!is_dyn(e.id)) {
-    const Node& nd = nodes_[static_cast<std::size_t>(e.id)];
-    for (std::int32_t ei : nd.vin) {
-      const VEdge& ve = vedges_[static_cast<std::size_t>(ei)];
+    const auto u = static_cast<std::size_t>(e.id);
+    const Rank home = nodes_[u].home;
+    for (std::int32_t i = vin_off_[u]; i < vin_off_[u + 1]; ++i) {
       std::uint64_t v = 0;
       rt_.get_u64_with_retry(
-          seg_, nd.home, v_base_ + static_cast<std::size_t>(ve.slot) * 8, &v);
+          seg_, home, version_offset(vin_slot_[static_cast<std::size_t>(i)]),
+          &v);
       if (v == 0) {
         return false;
       }
@@ -545,18 +608,20 @@ std::uint64_t DagScheduler::retry_parked() {
   if (parked_.empty()) {
     return 0;
   }
+  // One order-preserving compaction pass: entries are checked and
+  // re-injected front to back, the ones still blocked slide down.
   std::uint64_t injected = 0;
-  for (std::size_t i = 0; i < parked_.size();) {
-    if (gates_look_open(parked_[i])) {
-      Task t = tc_.task_create(sizeof(DagBody), dispatch_handle_);
-      t.body_as<DagBody>().node = parked_[i].id;
-      tc_.add(rt_.me(), kAffinityHigh, t);
-      parked_.erase(parked_.begin() + static_cast<std::ptrdiff_t>(i));
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < parked_.size(); ++i) {
+    const ParkEntry e = parked_[i];
+    if (gates_look_open(e)) {
+      enqueue(e.id, rt_.me(), kAffinityHigh);
       ++injected;
     } else {
-      ++i;
+      parked_[kept++] = e;
     }
   }
+  parked_.resize(kept);
   if (injected > 0) {
     SCIOTO_METRIC_GAUGE(rt_.me(), metrics::Gauge::DagParked, parked_.size());
   }
@@ -584,72 +649,63 @@ NodeId DagScheduler::spawn_child(KindId kind, Rank home, const void* args,
   // bump; the id is usable immediately, the descriptor publishes when this
   // callback completes.
   std::int64_t idx = rt_.fetch_add(seg_, home, 0, 1);
-  SCIOTO_REQUIRE(idx < cfg_.max_dynamic_per_rank,
+  SCIOTO_REQUIRE(idx < dyn_cap_,
                  "dynamic-node arena on rank "
                      << home << " is full (max_dynamic_per_rank="
                      << cfg_.max_dynamic_per_rank << ")");
-  StagedChild c;
-  c.id = dyn_node_id(home, idx);
-  c.home = home;
-  c.kind = kind;
-  c.group = group;
-  c.depth = parent_depth + 1;
-  c.deps = 1 + extra_deps;  // the +1 is the parent hold
+  // Build the descriptor in place; resize zeroes the new bytes.
+  staged_desc_.resize(staged_desc_.size() + desc_stride_);
+  std::byte* d = staged_desc(staged_.size());
+  DynHeader h;
+  h.kind = kind;
+  h.group = group;
+  h.depth = parent_depth + 1;
+  h.body_len = len;
+  std::memcpy(d, &h, sizeof(h));
   if (len > 0) {
-    c.body.assign(static_cast<const std::byte*>(args),
-                  static_cast<const std::byte*>(args) + len);
+    std::memcpy(d + desc_args_offset(cfg_), args,
+                static_cast<std::size_t>(len));
   }
-  staged_.push_back(std::move(c));
+  const NodeId id = dyn_node_id(home, idx);
+  staged_.push_back({id, home, 1 + extra_deps});  // +1: the parent hold
   stats_.dyn_spawned++;
-  return staged_.back().id;
+  return id;
 }
 
 void DagScheduler::stage_child_edge(NodeId pred, NodeId succ) {
   SCIOTO_CHECK_MSG(in_node_, "child_edge outside a node callback");
   SCIOTO_REQUIRE(pred != succ, "child_edge: self-dependency on " << pred);
-  StagedChild* p = nullptr;
-  StagedChild* s = nullptr;
-  for (StagedChild& c : staged_) {
-    if (c.id == pred) p = &c;
-    if (c.id == succ) s = &c;
+  std::size_t p = staged_.size();
+  std::size_t s = staged_.size();
+  for (std::size_t i = 0; i < staged_.size(); ++i) {
+    if (staged_[i].id == pred) p = i;
+    if (staged_[i].id == succ) s = i;
   }
-  SCIOTO_REQUIRE(p != nullptr && s != nullptr,
+  SCIOTO_REQUIRE(p < staged_.size() && s < staged_.size(),
                  "child_edge: both ends must be children spawned by this "
                  "callback (pred=" << pred << ", succ=" << succ << ")");
-  SCIOTO_REQUIRE(
-      p->succ.size() < static_cast<std::size_t>(cfg_.max_dynamic_succ),
-      "child_edge: node " << pred << " exceeds max_dynamic_succ "
-                          << cfg_.max_dynamic_succ);
-  p->succ.push_back(succ);
-  s->deps++;
+  std::byte* d = staged_desc(p);
+  DynHeader h;
+  std::memcpy(&h, d, sizeof(h));
+  SCIOTO_REQUIRE(h.nsucc < cfg_.max_dynamic_succ,
+                 "child_edge: node " << pred << " exceeds max_dynamic_succ "
+                                     << cfg_.max_dynamic_succ);
+  std::memcpy(d + sizeof(h) + static_cast<std::size_t>(h.nsucc) *
+                                  sizeof(NodeId),
+              &succ, sizeof(NodeId));
+  h.nsucc++;
+  std::memcpy(d, &h, sizeof(h));
+  staged_[s].deps++;
 }
 
 void DagScheduler::publish_and_release_children() {
   if (staged_.empty()) {
     return;
   }
-  for (const StagedChild& c : staged_) {
-    std::memset(pub_buf_.data(), 0, pub_buf_.size());
-    DynHeader h;
-    h.kind = c.kind;
-    h.group = c.group;
-    h.depth = c.depth;
-    h.body_len = static_cast<std::int32_t>(c.body.size());
-    h.nsucc = static_cast<std::int32_t>(c.succ.size());
-    std::memcpy(pub_buf_.data(), &h, sizeof(h));
-    // Empty successor lists and bodies may have a null data().
-    if (!c.succ.empty()) {
-      std::memcpy(pub_buf_.data() + sizeof(h), c.succ.data(),
-                  c.succ.size() * sizeof(NodeId));
-    }
-    if (!c.body.empty()) {
-      std::memcpy(pub_buf_.data() + sizeof(h) +
-                      static_cast<std::size_t>(cfg_.max_dynamic_succ) *
-                          sizeof(NodeId),
-                  c.body.data(), c.body.size());
-    }
+  for (std::size_t i = 0; i < staged_.size(); ++i) {
+    const StagedChild& c = staged_[i];
     const auto idx = static_cast<std::size_t>(dyn_idx(c.id));
-    rt_.put(seg_, c.home, desc_base_ + idx * desc_stride_, pub_buf_.data(),
+    rt_.put(seg_, c.home, desc_base_ + idx * desc_stride_, staged_desc(i),
             desc_stride_);
     // Plain put of the counter is safe: the only writer until the release
     // fetch_add below is this thread, and that RMW publishes both words to
@@ -662,33 +718,44 @@ void DagScheduler::publish_and_release_children() {
   for (const StagedChild& c : staged_) {
     decrement(c.id, 1);
   }
-  staged_.clear();
+  clear_staged();
 }
 
-// ---- Data versioning -----------------------------------------------------
+// ---- Release and data versioning ---------------------------------------
 
-void DagScheduler::bump_versions(const Node& nd) {
+void DagScheduler::release_successors(std::size_t u) {
+  const OutEdge* first = out_.data() + out_off_[u];
+  const OutEdge* last = out_.data() + out_off_[u + 1];
+  bool versioned = false;
+  for (const OutEdge* e = first; e != last; ++e) {
+    decrement(e->succ, 1);
+    versioned |= e->vslot >= 0;
+  }
+  if (versioned) {
+    bump_versions(first, last);
+  }
+}
+
+void DagScheduler::bump_versions(const OutEdge* first, const OutEdge* last) {
   // Flush the payload before announcing it: one fence per distinct data
-  // owner covers all edges naming it.
-  for (std::size_t i = 0; i < nd.vout.size(); ++i) {
-    const Rank owner =
-        vedges_[static_cast<std::size_t>(nd.vout[i])].data.owner;
+  // owner covers all versioned edges naming it.
+  for (const OutEdge* e = first; e != last; ++e) {
+    if (e->vslot < 0) continue;
     bool seen = false;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (vedges_[static_cast<std::size_t>(nd.vout[j])].data.owner == owner) {
+    for (const OutEdge* p = first; p != e; ++p) {
+      if (p->vslot >= 0 && p->owner == e->owner) {
         seen = true;
         break;
       }
     }
     if (!seen) {
-      rt_.fence(owner);
+      rt_.fence(e->owner);
     }
   }
-  for (std::int32_t ei : nd.vout) {
-    const VEdge& e = vedges_[static_cast<std::size_t>(ei)];
-    const Node& succ = nodes_[static_cast<std::size_t>(e.succ)];
-    rt_.put_word_reliable(seg_, succ.home,
-                          v_base_ + static_cast<std::size_t>(e.slot) * 8, 1,
+  for (const OutEdge* e = first; e != last; ++e) {
+    if (e->vslot < 0) continue;
+    const Rank home = nodes_[static_cast<std::size_t>(e->succ)].home;
+    rt_.put_word_reliable(seg_, home, version_offset(e->vslot), 1,
                           sizeof(std::uint64_t));
   }
 }

@@ -71,6 +71,7 @@ struct DataDep {
 
 struct DagConfig {
   /// Capacity of each rank's dynamic-node arena (descriptors + counters).
+  /// The arena is allocated only if a kind was registered.
   std::int64_t max_dynamic_per_rank = 1 << 12;
   /// Max POD argument bytes a dynamic node may carry.
   std::int32_t max_dynamic_body = 64;
@@ -180,23 +181,34 @@ class DagScheduler {
   DagStats stats_global();
 
  private:
+  /// Cap on static nodes and on add_edge calls: ids and CSR offsets are
+  /// 32-bit (trace events already carry node ids in 32 bits).
+  static constexpr std::size_t kMaxStatic = 0x7fffffff;
+  /// A static node: plain data. Its body is fns_[id]; its edges live in
+  /// edges_ until execute() sorts them into the CSR arrays.
   struct Node {
     Rank home = 0;
-    NodeFn fn;
     GroupId group = kNoGroup;
-    std::int64_t deps = 0;          // control in-degree (incl. versioned)
-    std::int32_t depth = 0;         // longest path from a root
-    std::int64_t home_slot = -1;    // counter index on the home rank
-    std::vector<NodeId> successors;
-    std::vector<std::int32_t> vin;  // versioned in-edges (vedges_ indices)
-    std::vector<std::int32_t> vout; // versioned out-edges to bump
+    std::int32_t depth = 0;      // longest path from a root
+    std::int32_t home_slot = 0;  // counter index on the home rank
+    std::int64_t deps = 0;       // control in-degree (incl. versioned)
   };
-  /// A versioned edge; `slot` indexes the version word on succ's home.
-  struct VEdge {
-    NodeId pred = -1;
-    NodeId succ = -1;
-    DataDep data;
-    std::int64_t slot = -1;
+  static_assert(sizeof(Node) == 24);
+  /// One add_edge call. `vslot` indexes the version word on succ's home
+  /// rank (-1 for a plain edge); `owner` is the versioned payload's owner,
+  /// which the producer fences before the bump. Of a DataDep only these
+  /// two are read after add_edge returns.
+  struct EdgeRec {
+    std::int32_t pred;
+    std::int32_t succ;
+    std::int32_t vslot;
+    Rank owner;
+  };
+  /// A CSR out-edge: an EdgeRec without its pred.
+  struct OutEdge {
+    std::int32_t succ;
+    std::int32_t vslot;
+    Rank owner;
   };
   struct DagBody {
     NodeId node;
@@ -207,15 +219,11 @@ class DagScheduler {
     GroupId group;
   };
   /// A dynamic child staged between spawn() and the parent's completion.
+  /// Its descriptor is built in place at the same index of staged_desc_.
   struct StagedChild {
     NodeId id;
     Rank home;
-    KindId kind;
-    GroupId group;
-    std::int32_t depth;
     std::int64_t deps;  // includes the +1 parent hold
-    std::vector<std::byte> body;
-    std::vector<NodeId> succ;
   };
 
   static constexpr NodeId kDynBit = NodeId{1} << 62;
@@ -234,11 +242,14 @@ class DagScheduler {
   void run_node(TaskContext& ctx);
   void decrement(NodeId succ, std::int64_t delta);
   void fire(NodeId id, Rank home, std::int32_t depth);
+  void enqueue(NodeId id, Rank where, int affinity);
   void defer(NodeId id, GroupId group, bool version_wait);
   bool gates_look_open(const ParkEntry& e);
   std::uint64_t retry_parked();
   void publish_and_release_children();
-  void bump_versions(const Node& n);
+  void release_successors(std::size_t u);
+  void bump_versions(const OutEdge* first, const OutEdge* last);
+  void build_csr();
   void check_acyclic_and_depths();
 
   Rank lock_home(GroupId g) const { return g % rt_.nprocs(); }
@@ -251,21 +262,40 @@ class DagScheduler {
                            nodes_[static_cast<std::size_t>(id)].home_slot) *
                            sizeof(std::int64_t);
   }
+  std::byte* staged_desc(std::size_t i) {
+    return staged_desc_.data() + i * desc_stride_;
+  }
+  void clear_staged() {
+    staged_.clear();
+    staged_desc_.clear();
+  }
+  std::size_t version_offset(std::int32_t vslot) const {
+    return v_base_ + static_cast<std::size_t>(vslot) * sizeof(std::int64_t);
+  }
 
   TaskCollection& tc_;
   pgas::Runtime& rt_;
   DagConfig cfg_;
   TaskHandle dispatch_handle_ = kInvalidHandle;
   std::vector<Node> nodes_;
-  std::vector<VEdge> vedges_;
+  std::vector<NodeFn> fns_;      // static node bodies, by id
+  std::vector<EdgeRec> edges_;   // add_edge order; freed by execute()
+  // CSR built by execute(), each row in add_edge order: node u's
+  // out-edges are out_[out_off_[u], out_off_[u+1]), the version slots its
+  // dispatch gate reads are vin_slot_[vin_off_[u], vin_off_[u+1]).
+  std::vector<std::int32_t> out_off_;
+  std::vector<OutEdge> out_;
+  std::vector<std::int32_t> vin_off_;
+  std::vector<std::int32_t> vin_slot_;
   std::vector<NodeFn> kinds_;
   GroupId ngroups_ = 0;
-  std::int64_t nedges_ = 0;
   std::vector<std::int64_t> slots_per_rank_;   // static counter slots
   std::vector<std::int64_t> vslots_per_rank_;  // version slots
   pgas::SegId seg_ = -1;
   // Per-rank patch layout (identical on every rank): [dyn cursor][static
   // counters][version slots][group locks][dyn counters][descriptor arena].
+  // The last two hold dyn_cap_ entries each: none when no kind exists.
+  std::int64_t dyn_cap_ = 0;
   std::size_t ctr_base_ = 0;
   std::size_t v_base_ = 0;
   std::size_t lock_base_ = 0;
@@ -275,8 +305,8 @@ class DagScheduler {
   DagStats stats_;
   std::vector<ParkEntry> parked_;
   std::vector<StagedChild> staged_;
-  std::vector<std::byte> dyn_buf_;  // descriptor fetch scratch
-  std::vector<std::byte> pub_buf_;  // descriptor publish scratch
+  std::vector<std::byte> staged_desc_;  // desc_stride_ bytes per child
+  std::vector<std::byte> dyn_buf_;      // descriptor fetch scratch
   bool executed_ = false;
   bool running_ = false;
   bool in_node_ = false;

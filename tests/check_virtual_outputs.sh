@@ -2,7 +2,8 @@
 # Byte-identity check of the simulator's virtual-time outputs.
 #
 # Runs the Figure 7 and Figure 4 benches at a fixed configuration with
-# --trace, and the tiled Cholesky bench, and compares the SHA-256 of their
+# --trace, and the tiled Cholesky bench (plain, and with --flow for the
+# DAG-only lineage run at 16 tiles), and compares the SHA-256 of their
 # stdout and Chrome trace files against tests/virtual_outputs.sha256.
 # Host-side changes (SHA-1, fiber switch, allocator, tile kernels, ...)
 # must leave every byte of these files unchanged;
@@ -28,10 +29,12 @@ cd "$out"
   --trace=fig4.trace.json > fig4.stdout
 "$build/bench/bench_cholesky" --procs 8 --tile 16 --max-tiles 8 \
   > cholesky.stdout
+"$build/bench/bench_cholesky" --procs 8 --tile 16 --max-tiles 16 --flow \
+  > cholesky_flow.stdout
 
 if [ "${2:-}" = "--record" ]; then
   sha256sum fig7.stdout fig7.trace.json fig4.stdout fig4.trace.json \
-    cholesky.stdout > "$digests"
+    cholesky.stdout cholesky_flow.stdout > "$digests"
   echo "recorded $digests"
 else
   sha256sum -c "$digests"

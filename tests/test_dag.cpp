@@ -2,9 +2,10 @@
 // diamonds, and fan-in/fan-out shapes on both backends; conflict-edge
 // mutual exclusion; remote data-version RAW safety; streaming (recursive)
 // graph build; manual satisfy() joins; cycle reporting with node ids;
-// argument validation; 8-seed sim determinism; composition with the
-// fail-stop kill/adoption path; and the three-way reconciliation
-// DagStats == metrics counters == trace events (mirrors test_metrics).
+// argument validation; release order = add_edge order; 8-seed sim
+// determinism; composition with the fail-stop kill/adoption path; and the
+// three-way reconciliation DagStats == metrics counters == trace events
+// (mirrors test_metrics).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -375,6 +376,127 @@ TEST(DagValidation, AddEdgeRejectsBadArgsAtCallTime) {
     dag.execute();
     tc.destroy();
   });
+}
+
+TEST(DagValidation, CycleReportedInLargeGraph) {
+  // A 50k-node chain whose last edge closes a three-node cycle at the
+  // tail: Kahn sorts the long prefix, and the report still names exactly
+  // the cycle, walked from its lowest unsorted id.
+  constexpr int kLen = 50'000;
+  testing::run_sim(2, [&](Runtime& rt) {
+    TaskCollection tc(rt, small_cfg());
+    dag::DagScheduler dag(tc);
+    for (int i = 0; i < kLen; ++i) {
+      dag.add_node(i % rt.nprocs(), [](dag::NodeCtx&) {});
+      if (i > 0) dag.add_edge(i - 1, i);
+    }
+    dag.add_edge(kLen - 1, kLen - 3);  // 49997 -> 49998 -> 49999 -> 49997
+    try {
+      dag.execute();
+      FAIL() << "cycle not detected";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("dependency cycle: 49998 -> 49999 -> 49997 -> 49998"),
+                std::string::npos)
+          << msg;
+      EXPECT_EQ(msg.find("49996"), std::string::npos) << msg;
+    }
+    tc.destroy();
+  });
+}
+
+TEST(DagValidation, SatisfyRejectsDynamicIdWithoutArena) {
+  // A dynamic id is only meaningful to a scheduler whose arena holds its
+  // slot; a scheduler with no registered kind has no arena at all.
+  std::atomic<dag::NodeId> dyn{-1};
+  std::mutex m;
+  std::string msg;
+  testing::run_sim(2, [&](Runtime& rt) {
+    {
+      TaskCollection tc(rt, small_cfg());
+      dag::DagScheduler with_kind(tc);
+      dag::KindId kind = with_kind.register_kind([](dag::NodeCtx&) {});
+      with_kind.add_node(0, [&](dag::NodeCtx& ctx) {
+        dyn.store(ctx.spawn(kind, 1));
+      });
+      with_kind.execute();
+      tc.destroy();
+    }
+    TaskCollection tc(rt, small_cfg());
+    dag::DagScheduler no_kind(tc);
+    no_kind.add_node(1, [&](dag::NodeCtx& ctx) {
+      try {
+        ctx.dag().satisfy(dyn.load());
+      } catch (const Error& e) {
+        std::lock_guard<std::mutex> g(m);
+        msg = e.what();
+      }
+    });
+    no_kind.execute();
+    tc.destroy();
+  });
+  EXPECT_GE(dyn.load(), 0);
+  EXPECT_NE(msg.find("no arena slot"), std::string::npos) << msg;
+}
+
+// ---- Order: the engine walks edges in add_edge order ----
+
+TEST(DagOrder, ReleaseAndBumpFollowAddEdgeOrder) {
+  // One producer with five successors on three homes, plain and versioned
+  // edges interleaved and added out of id order. Each successor waits on
+  // the producer alone, so every decrement fires: the NodeReady stream is
+  // the release order, which must be the add_edge order. The fences and
+  // version bumps walk the same out-edge row after the releases; they
+  // leave no trace event, so the Cholesky digests in
+  // tests/check_virtual_outputs.sh pin their order.
+  trace::start(4);
+  std::vector<dag::NodeId> edge_order;
+  testing::run_sim(4, [&](Runtime& rt) {
+    TaskCollection tc(rt, small_cfg());
+    pgas::SegId data = rt.seg_alloc(64);
+    dag::DagScheduler dag(tc);
+    auto producer = dag.add_node(0, [&](dag::NodeCtx&) { rt.charge(1'000); });
+    std::vector<dag::NodeId> succ;
+    for (Rank home : {1, 2, 3, 1, 2}) {
+      succ.push_back(dag.add_node(home, [](dag::NodeCtx&) {}));
+    }
+    auto dep = [&](Rank owner) {
+      dag::DataDep d;
+      d.seg = data;
+      d.owner = owner;
+      d.len = 8;
+      return d;
+    };
+    dag.add_edge(producer, succ[3], dep(2));
+    dag.add_edge(producer, succ[0]);
+    dag.add_edge(producer, succ[4], dep(1));
+    dag.add_edge(producer, succ[2]);
+    dag.add_edge(producer, succ[1], dep(2));
+    if (rt.me() == 0) {
+      edge_order = {succ[3], succ[0], succ[4], succ[2], succ[1]};
+    }
+    dag.execute();
+    dag::DagStats g = dag.stats_global();
+    if (rt.me() == 0) {
+      EXPECT_EQ(g.nodes_run, 6u);
+    }
+    rt.seg_free(data);
+    tc.destroy();
+  });
+  std::vector<trace::Event> evs = trace::all_events();
+  trace::stop();
+  Rank ran_on = kNoRank;
+  for (const trace::Event& e : evs) {
+    if (e.kind == trace::Ev::NodeRun && e.a == 0) ran_on = e.rank;
+  }
+  ASSERT_NE(ran_on, kNoRank);
+  std::vector<dag::NodeId> released;
+  for (const trace::Event& e : evs) {
+    if (e.kind == trace::Ev::NodeReady && e.rank == ran_on && e.a != 0) {
+      released.push_back(e.a);
+    }
+  }
+  EXPECT_EQ(released, edge_order);
 }
 
 // ---- Sim determinism: byte-identical replay across 8 seeds ----
