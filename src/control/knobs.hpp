@@ -5,9 +5,10 @@
 // steal-half, release threshold, retarget budget) was copied out of
 // TcConfig into SplitQueue::Config at construction and never looked at
 // again -- so post-init changes through the C API silently did nothing.
-// KnobSet is the single source of truth the queue and the steal path now
-// read through on every decision, which makes the values retunable while
-// tasks are in flight.
+// KnobSet is the single source of truth: each rank's SplitQueue owns one,
+// seeds it from its Config, and the queue and the steal path read through
+// it on every decision, which makes the values retunable while tasks are
+// in flight.
 //
 // Ownership discipline: a KnobSet belongs to exactly one rank and is only
 // ever read or written from that rank's execution context -- the owner
@@ -40,6 +41,10 @@ enum class Knob : int {
 };
 
 inline constexpr int kNumKnobs = static_cast<int>(Knob::kCount);
+
+/// Initial retarget budget: victims re-picked after an aborting steal
+/// bounces before the thief gives the round up.
+inline constexpr int kDefaultRetargetBudget = 4;
 
 inline const char* knob_name(Knob k) {
   switch (k) {
@@ -84,7 +89,7 @@ class KnobSet {
     hi_[idx(Knob::StealHalf)] = 1;
     lo_[idx(Knob::RetargetBudget)] = 0;
     hi_[idx(Knob::RetargetBudget)] = 64;
-    lo_[idx(Knob::ReleaseThreshold)] = 1;
+    lo_[idx(Knob::ReleaseThreshold)] = 0;  // 0 = always eligible
     hi_[idx(Knob::ReleaseThreshold)] = std::int64_t{1} << 32;
     lo_[idx(Knob::VictimSetSize)] = 0;
     hi_[idx(Knob::VictimSetSize)] = nprocs > 1 ? nprocs - 1 : 0;

@@ -25,8 +25,6 @@ const char* queue_mode_name(QueueMode mode) {
       return "split";
     case QueueMode::NoSplit:
       return "no-split";
-    case QueueMode::WaitFreeSteal:
-      return "wait-free";
     case QueueMode::LockFree:
       return "lockfree";
   }
@@ -43,16 +41,16 @@ SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
   // trace) is identical to a pre-control build. Collective by contract.
   chunk_max_ = cfg_.chunk_max > cfg_.chunk ? cfg_.chunk_max : cfg_.chunk;
   cfg_.chunk_max = chunk_max_;
-  cfg_.slot_bytes = align_up(cfg_.slot_bytes, 8);  // word-wise wf copies
+  cfg_.slot_bytes = align_up(cfg_.slot_bytes, 8);  // word-wise CAS copies
+  knobs_.init(cfg_.chunk, chunk_max_, cfg_.adaptive_chunk,
+              control::kDefaultRetargetBudget,
+              static_cast<std::int64_t>(cfg_.release_threshold),
+              rt.nprocs());
   ft_ = fault::active();
-  SCIOTO_REQUIRE(!(ft_ && cfg_.mode == QueueMode::WaitFreeSteal),
-                 "fault tolerance requires locked steals: wait-free mode "
-                 "has no lock to anchor the steal transaction");
-  // Same anchoring problem, one protocol further out: a lock-free thief
-  // publishes its claim with an unlocked CAS, so there is no critical
-  // section in which to log the stolen chunk into the victim-side
-  // transaction buffer before the claim becomes visible -- a thief death
-  // between CAS and requeue would lose the chunk. Rejected at init
+  // A lock-free thief publishes its claim with an unlocked CAS, so there
+  // is no critical section in which to log the stolen chunk into the
+  // victim-side transaction buffer before the claim becomes visible -- a
+  // thief death between CAS and requeue would lose the chunk. Rejected at init
   // (fail-fast, pinned by tests/test_fault.cpp) rather than silently
   // falling back to the locked mode.
   SCIOTO_REQUIRE(!(ft_ && cfg_.mode == QueueMode::LockFree),
@@ -92,12 +90,8 @@ SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
     }
   }
   locks_ = rt_.lockset_create();
-  counters_.resize(nranks);
-  reacquire_bufs_.resize(nranks);
-  for (auto& buf : reacquire_bufs_) {
-    buf.resize(static_cast<std::size_t>(chunk_max_) * cfg_.slot_bytes);
-  }
-  overflow_.resize(nranks);
+  reacquire_buf_.resize(static_cast<std::size_t>(chunk_max_) *
+                        cfg_.slot_bytes);
   rt_.barrier();
 }
 
@@ -243,13 +237,10 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
 
   // Low affinity: enter at the steal end so this task migrates first.
   // Even the owner uses the remote-add publication protocol so the slot
-  // is never visible half-written (wait-free thieves validate only
+  // is never visible half-written (lockfree thieves validate only
   // against steal_head).
-  if (cfg_.mode == QueueMode::WaitFreeSteal ||
-      cfg_.mode == QueueMode::LockFree) {
-    bool ok = cfg_.mode == QueueMode::WaitFreeSteal
-                  ? add_remote_waitfree(me, task)
-                  : add_remote_lockfree(me, task);
+  if (cfg_.mode == QueueMode::LockFree) {
+    bool ok = add_remote_lockfree(me, task);
     if (ok) {
       rt_.charge(rt_.machine().local_insert);
       SCIOTO_TRACE_EVENT(me, trace::Ev::Push, affinity, 0,
@@ -347,175 +338,116 @@ bool SplitQueue::pop_local(std::byte* out) {
   return true;
 }
 
+std::uint64_t SplitQueue::lower_split_validated() {
+  // Publish the lowered split with one seq_cst store, then validate that no
+  // in-flight thief can overrun it. Locked thieves serialize on the lock
+  // and publish steal_head seq_cst; lockfree thieves load top, then split,
+  // both seq_cst (see steal_from_lockfree). Either way at most ONE thief's
+  // advance can be missing from the validation load -- any earlier one is
+  // ordered before it -- and that advance is bounded by chunk_max, not the
+  // live chunk: the in-flight thief steals at its OWN live width, which we
+  // cannot see but which its KnobSet clamps to the collective chunk_max.
+  // The margin check makes that single unpublished chunk safe.
+  Rank me = rt_.me();
+  Ctl& c = ctl(me);
+  const auto margin = static_cast<std::uint64_t>(chunk_max_);
+  std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
+  std::uint64_t sp = c.split.load(std::memory_order_relaxed);
+  std::uint64_t avail = sp > sh ? sp - sh : 0;
+  if (avail < 2 * margin) {
+    return 0;
+  }
+  std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
+  std::uint64_t new_sp = sp - take;
+  c.split.store(new_sp, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  std::uint64_t sh2 = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
+  if (sh2 + margin > new_sp) {
+    // Thieves drained the margin under us. Raising split back is always
+    // safe (it is exactly a release); the caller takes its slow path.
+    c.split.store(sp, std::memory_order_seq_cst);
+    return 0;
+  }
+  // One local atomic publish instead of a lock round trip.
+  rt_.atomic_publish_charge();
+  return note_reacquire(/*fast=*/true, take,
+                        c.priv_tail.load(std::memory_order_relaxed) - sh2);
+}
+
+std::uint64_t SplitQueue::note_reacquire(bool fast, std::uint64_t take,
+                                         std::uint64_t depth) {
+  counters().reacquires++;
+  counters().reacquires_fast += fast ? 1 : 0;
+  SCIOTO_TRACE_EVENT(rt_.me(),
+                     fast ? trace::Ev::ReacquireFast : trace::Ev::Reacquire,
+                     take, 0, depth);
+  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReacquires, 1);
+  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReacquiredTasks, take);
+  metrics_queue_gauges();
+  return take;
+}
+
 std::uint64_t SplitQueue::reacquire() {
   Rank me = rt_.me();
   Ctl& c = ctl(me);
-  switch (cfg_.mode) {
-    case QueueMode::NoSplit:
-      return 0;  // no distinct portions to move between
-
-    case QueueMode::WaitFreeSteal: {
-      // `split` never moves down in wait-free mode: reclaim parked work by
-      // self-stealing through the same CAS path thieves use, then re-push
-      // privately.
-      if (shared_size() == 0) {
-        return 0;
-      }
-      std::byte* buf = reacquire_bufs_[static_cast<std::size_t>(me)].data();
-      int got = steal_from_waitfree(me, buf);
-      for (int i = 0; i < got; ++i) {
-        bool ok = push_local(buf + static_cast<std::size_t>(i) *
-                                       cfg_.slot_bytes,
-                             kAffinityHigh);
-        SCIOTO_CHECK_MSG(ok, "overflow re-pushing self-stolen tasks");
-      }
-      if (got > 0) {
-        counters().reacquires++;
-        SCIOTO_TRACE_EVENT(me, trace::Ev::Reacquire, got, 0,
-                           c.priv_tail.load(std::memory_order_relaxed) -
-                               c.steal_head.load(std::memory_order_relaxed));
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, got);
-        metrics_queue_gauges();
-      }
-      return static_cast<std::uint64_t>(got);
+  if (cfg_.mode == QueueMode::NoSplit || shared_size() == 0) {
+    return 0;  // NoSplit has no distinct portions to move between
+  }
+  if (cfg_.mode == QueueMode::LockFree) {
+    // No lock exists to serialize a split lowering against in-flight
+    // thieves, so the owner has exactly two tools: the validated publish
+    // (deep shared portion) and the thieves' own CAS path. A thin shared
+    // portion -- including the single-element owner-vs-thief race -- falls
+    // back to self-stealing through the CAS, i.e. the standard Chase-Lev
+    // "owner CASes top" arbitration: exactly one of owner and thief wins
+    // each contested task.
+    if (std::uint64_t take = lower_split_validated()) {
+      return take;
     }
-
-    case QueueMode::LockFree: {
-      // No lock exists to serialize a split lowering against in-flight
-      // thieves, so the owner has exactly two tools: the validated
-      // seq_cst publish (the Split-mode fastpath, margin-checked against
-      // the one stale claim that can land past the validation load -- see
-      // DESIGN.md for why seq_cst total order bounds it to one), and the
-      // thieves' own CAS path. Deep shared portion: publish. Thin shared
-      // portion -- including the single-element owner-vs-thief race --
-      // fall back to self-stealing through the CAS, i.e. the standard
-      // Chase-Lev "owner CASes top" arbitration: exactly one of owner and
-      // thief wins each contested task.
-      const auto margin = static_cast<std::uint64_t>(chunk_max_);
-      std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
-      std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-      std::uint64_t avail = sp > sh ? sp - sh : 0;
-      if (avail == 0) {
-        return 0;
-      }
-      if (avail >= 2 * margin) {
-        std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
-        std::uint64_t new_sp = sp - take;
-        c.split.store(new_sp, std::memory_order_seq_cst);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        std::uint64_t sh2 =
-            sh_idx(c.steal_head.load(std::memory_order_seq_cst));
-        if (sh2 + margin <= new_sp) {
-          rt_.atomic_publish_charge();
-          counters().reacquires++;
-          counters().reacquires_fast++;
-          SCIOTO_TRACE_EVENT(me, trace::Ev::ReacquireFast, take, 0,
-                             c.priv_tail.load(std::memory_order_relaxed) -
-                                 sh2);
-          SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-          SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
-          metrics_queue_gauges();
-          return take;
-        }
-        // Thieves drained the margin under us; raising split back is
-        // exactly a release (always safe), then contend on the CAS.
-        c.split.store(sp, std::memory_order_seq_cst);
-      }
-      std::byte* buf = reacquire_bufs_[static_cast<std::size_t>(me)].data();
-      int got = steal_from_lockfree(me, buf);
-      for (int i = 0; i < got; ++i) {
-        bool ok = push_local(buf + static_cast<std::size_t>(i) *
-                                       cfg_.slot_bytes,
-                             kAffinityHigh);
-        SCIOTO_CHECK_MSG(ok, "overflow re-pushing self-stolen tasks");
-      }
-      if (got > 0) {
-        counters().reacquires++;
-        SCIOTO_TRACE_EVENT(me, trace::Ev::Reacquire, got, 0,
-                           c.priv_tail.load(std::memory_order_relaxed) -
-                               sh_idx(c.steal_head.load(
-                                   std::memory_order_relaxed)));
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, got);
-        metrics_queue_gauges();
-      }
-      return static_cast<std::uint64_t>(got);
+    std::byte* buf = reacquire_buf_.data();
+    int got = steal_from_lockfree(me, buf);
+    for (int i = 0; i < got; ++i) {
+      bool ok = push_local(buf + static_cast<std::size_t>(i) *
+                                     cfg_.slot_bytes,
+                           kAffinityHigh);
+      SCIOTO_CHECK_MSG(ok, "overflow re-pushing self-stolen tasks");
     }
-
-    case QueueMode::Split: {
-      if (shared_size() == 0) {
-        return 0;
-      }
-      if (cfg_.owner_fastpath && !ft_) {
-        // Fault mode forces the locked path (as it forces locked steals):
-        // the lock-light split publish cannot observe an adoption fence,
-        // so a falsely-suspected owner could resurrect adopted work.
-        // Lock-light lowering: publish the new split with one seq_cst
-        // store and validate that no in-flight thief can overrun it.
-        // Thieves serialize on the lock and publish steal_head seq_cst, so
-        // at most ONE thief's advance (bounded by chunk) can be missing
-        // from the validation load -- any earlier thief's store is
-        // ordered before the next lock holder's index reads, hence before
-        // ours. The margin check makes the single unpublished chunk safe.
-        // The margin uses chunk_max, not the live chunk: the in-flight
-        // thief steals at its OWN live width, which we cannot see but
-        // which its KnobSet clamps to the collective chunk_max.
-        const auto chunk = static_cast<std::uint64_t>(chunk_max_);
-        std::uint64_t sh = c.steal_head.load(std::memory_order_seq_cst);
-        std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-        std::uint64_t avail = sp > sh ? sp - sh : 0;
-        if (avail >= 2 * chunk) {
-          std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
-          std::uint64_t new_sp = sp - take;
-          c.split.store(new_sp, std::memory_order_seq_cst);
-          std::atomic_thread_fence(std::memory_order_seq_cst);
-          std::uint64_t sh2 = c.steal_head.load(std::memory_order_seq_cst);
-          if (sh2 + chunk <= new_sp) {
-            // One local atomic publish instead of a lock round trip.
-            rt_.atomic_publish_charge();
-            counters().reacquires++;
-            counters().reacquires_fast++;
-            SCIOTO_TRACE_EVENT(me, trace::Ev::ReacquireFast, take, 0,
-                               c.priv_tail.load(std::memory_order_relaxed) -
-                                   sh2);
-            SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-            SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
-            metrics_queue_gauges();
-            return take;
-          }
-          // Thieves drained the margin under us. Raising split back is
-          // always safe (it is exactly a release); take the locked path.
-          c.split.store(sp, std::memory_order_seq_cst);
-        }
-      }
-      // Lowering `split` races in-flight steals, so it needs the lock.
-      rt_.lock(locks_, me);
-      counters().owner_lock_acqs++;
-      if (ft_ && c.fence.load(std::memory_order_acquire) != 0) {
-        rt_.unlock(locks_, me);
-        return 0;  // adopted: the work loop handles the fence abort
-      }
-      std::uint64_t sh = c.steal_head.load(std::memory_order_relaxed);
-      std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-      std::uint64_t avail = sp - sh;
-      if (avail == 0) {
-        rt_.unlock(locks_, me);
-        return 0;
-      }
-      std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
-      c.split.store(sp - take, std::memory_order_release);
-      rt_.unlock(locks_, me);
-      counters().reacquires++;
-      SCIOTO_TRACE_EVENT(me, trace::Ev::Reacquire, take, 0,
-                         c.priv_tail.load(std::memory_order_relaxed) - sh);
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquires, 1);
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::QReacquiredTasks, take);
-      metrics_queue_gauges();
+    if (got == 0) {
+      return 0;
+    }
+    return note_reacquire(/*fast=*/false,
+                          static_cast<std::uint64_t>(got),
+                          c.priv_tail.load(std::memory_order_relaxed) -
+                              sh_idx(c.steal_head.load(
+                                  std::memory_order_relaxed)));
+  }
+  // Fault mode forces the locked path (as it forces locked steals): the
+  // lock-light split publish cannot observe an adoption fence, so a
+  // falsely-suspected owner could resurrect adopted work.
+  if (cfg_.owner_fastpath && !ft_) {
+    if (std::uint64_t take = lower_split_validated()) {
       return take;
     }
   }
-  return 0;
+  // Lowering `split` races in-flight steals, so it needs the lock.
+  rt_.lock(locks_, me);
+  counters().owner_lock_acqs++;
+  if (ft_ && c.fence.load(std::memory_order_acquire) != 0) {
+    rt_.unlock(locks_, me);
+    return 0;  // adopted: the work loop handles the fence abort
+  }
+  std::uint64_t sh = c.steal_head.load(std::memory_order_relaxed);
+  std::uint64_t sp = c.split.load(std::memory_order_relaxed);
+  std::uint64_t avail = sp - sh;
+  if (avail == 0) {
+    rt_.unlock(locks_, me);
+    return 0;
+  }
+  std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
+  c.split.store(sp - take, std::memory_order_release);
+  rt_.unlock(locks_, me);
+  return note_reacquire(/*fast=*/false, take,
+                        c.priv_tail.load(std::memory_order_relaxed) - sh);
 }
 
 std::uint64_t SplitQueue::release_maybe() {
@@ -684,14 +616,7 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
     // this buffer. The ring itself cannot serve as the log -- remote adds
     // overwrite slots just below steal_head. The data already lives on the
     // victim, so only the 16-byte record publish is charged.
-    std::byte* buf = txn_buf(victim, me);
-    std::uint64_t first_mod = sh % internal_cap_;
-    std::uint64_t n1 = std::min(n, internal_cap_ - first_mod);
-    std::memcpy(buf, slot(victim, sh), n1 * cfg_.slot_bytes);
-    if (n1 < n) {
-      std::memcpy(buf + n1 * cfg_.slot_bytes, slot(victim, sh + n1),
-                  (n - n1) * cfg_.slot_bytes);
-    }
+    copy_span_raw(victim, sh, n, txn_buf(victim, me));
     TxnRecord& t = txn(victim, me);
     t.count.store(n, std::memory_order_relaxed);
     t.state.store(1, std::memory_order_release);
@@ -757,13 +682,7 @@ std::uint64_t SplitQueue::recover_open_txns() {
     }
     TimeNs t0 = rt_.now();
     std::uint64_t n = rec.count.load(std::memory_order_relaxed);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::byte* task =
-          txn_buf(me, t) + static_cast<std::size_t>(i) * cfg_.slot_bytes;
-      if (!push_local(task, kAffinityHigh)) {
-        stash_overflow(task);
-      }
-    }
+    requeue_or_stash(txn_buf(me, t), n);
     rec.state.store(0, std::memory_order_release);
     counters().tasks_recovered += n;
     total += n;
@@ -850,7 +769,7 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
   // excludes all readers -- and the queue ends low-anchored (sh = sp =
   // unfrozen(pt)) so a rejoining owner, whose fence_ack thaws priv_tail
   // back to that anchor, restarts from a trivially consistent state.
-  std::byte* buf = reacquire_bufs_[static_cast<std::size_t>(me)].data();
+  std::byte* buf = reacquire_buf_.data();
   std::uint64_t idx = sh;
   while (idx < pt) {
     // Batch by the buffer's capacity (chunk_max), not the live policy
@@ -859,13 +778,8 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
         pt - idx, static_cast<std::uint64_t>(chunk_max_));
     copy_out_span(dead, idx, n, buf);
     idx += n;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::byte* task = buf + static_cast<std::size_t>(i) * cfg_.slot_bytes;
-      if (!push_local(task, kAffinityHigh)) {
-        stash_overflow(task);
-      }
-      ++adopted;
-    }
+    requeue_or_stash(buf, n);
+    adopted += n;
   }
   c.split.store(sh, std::memory_order_release);
   // Orphaned in-flight steals whose thief also died: nobody else will
@@ -885,14 +799,8 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
     }
     std::uint64_t n = rec.count.load(std::memory_order_relaxed);
     rt_.rma_charge(dead, n * cfg_.slot_bytes);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::byte* task =
-          txn_buf(dead, t) + static_cast<std::size_t>(i) * cfg_.slot_bytes;
-      if (!push_local(task, kAffinityHigh)) {
-        stash_overflow(task);
-      }
-      ++adopted;
-    }
+    requeue_or_stash(txn_buf(dead, t), n);
+    adopted += n;
     rec.state.store(0, std::memory_order_release);
   }
   rt_.unlock(locks_, dead);
@@ -954,8 +862,18 @@ bool SplitQueue::reclaim_txn(Rank victim) {
   return won;
 }
 
+void SplitQueue::requeue_or_stash(const std::byte* tasks, std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::byte* task =
+        tasks + static_cast<std::size_t>(i) * cfg_.slot_bytes;
+    if (!push_local(task, kAffinityHigh)) {
+      stash_overflow(task);
+    }
+  }
+}
+
 void SplitQueue::stash_overflow(const std::byte* task) {
-  auto& ov = overflow_[static_cast<std::size_t>(rt_.me())];
+  auto& ov = overflow_;
   const std::size_t n = cfg_.slot_bytes;
   // Alias-safe append: if `task` points into ov's own storage, a plain
   // insert() could reallocate and then copy from freed memory. Grow
@@ -970,14 +888,14 @@ void SplitQueue::stash_overflow(const std::byte* task) {
 }
 
 bool SplitQueue::overflow_pending() const {
-  return ft_ && !overflow_[static_cast<std::size_t>(rt_.me())].empty();
+  return ft_ && !overflow_.empty();
 }
 
 std::uint64_t SplitQueue::flush_overflow() {
   if (!ft_) {
     return 0;
   }
-  auto& ov = overflow_[static_cast<std::size_t>(rt_.me())];
+  auto& ov = overflow_;
   std::uint64_t moved = 0;
   while (!ov.empty()) {
     const std::byte* task = ov.data() + ov.size() - cfg_.slot_bytes;
@@ -1016,8 +934,8 @@ int SplitQueue::steal_from_lockfree(Rank victim, std::byte* out) {
   // the lowered split, so at most one stale-split claim (width clamped to
   // chunk_max by the KnobSet) can land past the validation, which is
   // exactly the margin the owner checks. A failed CAS means the window
-  // moved (a thief claimed, or an add bumped the tag); retry bounded
-  // like the wait-free path, but cheaply:
+  // moved (a thief claimed, or an add bumped the tag); retry, bounded
+  // and cheaply:
   //
   //  * The failed CAS itself returned the current raw word, and an RMW
   //    read is as good a top observation as a load in the seq_cst order
@@ -1133,61 +1051,13 @@ int SplitQueue::steal_from_lockfree(Rank victim, std::byte* out) {
   return 0;  // heavy contention: give up, caller picks another victim
 }
 
-int SplitQueue::steal_from_waitfree(Rank victim, std::byte* out) {
-  Ctl& c = ctl(victim);
-  const bool remote = victim != rt_.me();
-  for (int attempt = 0; attempt < 16; ++attempt) {
-    if (remote) {
-      rt_.rma_charge(victim, 2 * sizeof(std::uint64_t));  // fetch indices
-    }
-    std::uint64_t sh = c.steal_head.load(std::memory_order_acquire);
-    std::uint64_t bd = c.split.load(std::memory_order_acquire);
-    std::uint64_t avail = bd > sh ? bd - sh : 0;
-    std::uint64_t n = std::min<std::uint64_t>(
-        avail, static_cast<std::uint64_t>(live_chunk()));
-    if (n == 0) {
-      return 0;
-    }
-    // Speculative copy: may race a concurrent overwrite, but a lost CAS
-    // below discards the data, so torn reads never escape.
-    if (remote) {
-      rt_.rma_charge(victim, n * cfg_.slot_bytes);
-    }
-    for (std::uint64_t i = 0; i < n; ++i) {
-      copy_slot_relaxed(victim, sh + i,
-                        out + static_cast<std::size_t>(i) * cfg_.slot_bytes);
-    }
-    // Publish: one remote CAS claims the whole chunk.
-    if (remote) {
-      rt_.backend().rmw_charge(victim);
-    }
-    std::uint64_t expected = sh;
-    if (c.steal_head.compare_exchange_strong(expected, sh + n,
-                                             std::memory_order_acq_rel)) {
-      return static_cast<int>(n);
-    }
-    counters().cas_retries++;
-  }
-  return 0;  // heavy contention: give up, caller picks another victim
-}
-
 int SplitQueue::steal_from(Rank victim, std::byte* out) {
   counters().steal_attempts++;
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealAttempt, victim, 0, 0);
   SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::StealAttempts, 1);
   TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
-  int n;
-  switch (cfg_.mode) {
-    case QueueMode::WaitFreeSteal:
-      n = steal_from_waitfree(victim, out);
-      break;
-    case QueueMode::LockFree:
-      n = steal_from_lockfree(victim, out);
-      break;
-    default:
-      n = steal_from_locked(victim, out);
-      break;
-  }
+  int n = cfg_.mode == QueueMode::LockFree ? steal_from_lockfree(victim, out)
+                                            : steal_from_locked(victim, out);
   if (n > 0) {
     counters().steals_in++;
     counters().tasks_stolen_in += static_cast<std::uint64_t>(n);
@@ -1197,7 +1067,7 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
       // victim's slots are dead or replayable either way): one hop bump
       // and one MigrateEdge per task, so per-task hop counts and the
       // steal matrix reconcile one-for-one. The self-steal guard keeps
-      // the wait-free owner reacquire -- a reclaim, not a migration --
+      // the lockfree owner reacquire -- a reclaim, not a migration --
       // out of the lineage stream.
       for (int i = 0; i < n; ++i) {
         std::byte* slot =
@@ -1228,50 +1098,16 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
   return n;
 }
 
-bool SplitQueue::add_remote_waitfree(Rank target, const std::byte* task) {
-  // Adders serialize among themselves on the target's lock (adds are
-  // rare), but must publish with a CAS because lock-free thieves do not
-  // honour the lock. Write the slot *before* publishing so a thief can
-  // never observe it half-written under a successful CAS.
-  Ctl& c = ctl(target);
-  const bool remote = target != rt_.me();
-  rt_.lock(locks_, target);
-  bool ok = false;
-  for (;;) {
-    std::uint64_t sh = c.steal_head.load(std::memory_order_acquire);
-    std::uint64_t pt = c.priv_tail.load(std::memory_order_acquire);
-    if (pt - (sh - 1) >= cfg_.capacity) {
-      break;
-    }
-    if (remote) {
-      rt_.rma_charge(target, cfg_.slot_bytes);
-    }
-    std::memcpy(slot(target, sh - 1), task, cfg_.slot_bytes);
-    if (remote) {
-      rt_.backend().rmw_charge(target);
-    }
-    std::uint64_t expected = sh;
-    if (c.steal_head.compare_exchange_strong(expected, sh - 1,
-                                             std::memory_order_acq_rel)) {
-      ok = true;
-      break;
-    }
-    // A thief advanced steal_head meanwhile; rewrite at the new position.
-    counters().cas_retries++;
-  }
-  rt_.unlock(locks_, target);
-  return ok;
-}
-
 bool SplitQueue::add_remote_lockfree(Rank target, const std::byte* task) {
-  // As in wait-free mode, adders serialize among themselves on the
-  // target's lock (adds are rare) and publish with a CAS because thieves
-  // do not honour the lock. Two lockfree-specific twists: the CAS bumps
-  // the tag -- an add is precisely the operation that re-opens the ABA
-  // window a monotone top never has, so it must change the word beyond
-  // what a subsequent steal could undo -- and the slot write is word-wise
-  // atomic, because a stale thief may still be speculatively reading a
-  // physically aliased slot (its doomed claim discards whatever it tears).
+  // Adders serialize among themselves on the target's lock (adds are
+  // rare) but publish with a CAS because thieves do not honour the lock.
+  // Write the slot *before* publishing so a thief can never observe it
+  // half-written under a successful CAS. The CAS also bumps the tag -- an
+  // add is precisely the operation that re-opens the ABA window a
+  // monotone top never has, so it must change the word beyond what a
+  // subsequent steal could undo -- and the slot write is word-wise atomic,
+  // because a stale thief may still be speculatively reading a physically
+  // aliased slot (its doomed claim discards whatever it tears).
   Ctl& c = ctl(target);
   const bool remote = target != rt_.me();
   rt_.lock(locks_, target);
@@ -1307,9 +1143,7 @@ bool SplitQueue::add_remote_lockfree(Rank target, const std::byte* task) {
 bool SplitQueue::add_remote(Rank target, const std::byte* task) {
   SCIOTO_REQUIRE(target != rt_.me(), "add_remote to self; use push_local");
   bool ok;
-  if (cfg_.mode == QueueMode::WaitFreeSteal) {
-    ok = add_remote_waitfree(target, task);
-  } else if (cfg_.mode == QueueMode::LockFree) {
+  if (cfg_.mode == QueueMode::LockFree) {
     ok = add_remote_lockfree(target, task);
   } else {
     // As in steal_from: the control block rides along with the lock grant.
@@ -1326,13 +1160,6 @@ bool SplitQueue::add_remote(Rank target, const std::byte* task) {
     rt_.rma_charge(target, cfg_.slot_bytes);
     std::memcpy(slot(target, sh - 1), task, cfg_.slot_bytes);
     c.steal_head.store(sh - 1, std::memory_order_seq_cst);
-    if (cfg_.mode == QueueMode::NoSplit) {
-      // Single-region variant keeps the invariant steal_head <= split.
-      std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-      if (sp > sh - 1) {
-        // split tracks priv_tail in NoSplit mode; nothing to fix.
-      }
-    }
     rt_.unlock(locks_, target);
     ok = true;
   }
@@ -1354,7 +1181,7 @@ std::uint64_t SplitQueue::snapshot_local(std::vector<std::byte>& out) {
   if (n > 0) {
     copy_span_raw(me, sh, n, out.data() + base);
   }
-  const auto& ov = overflow_[static_cast<std::size_t>(me)];
+  const auto& ov = overflow_;
   out.insert(out.end(), ov.begin(), ov.end());
   return n + static_cast<std::uint64_t>(ov.size() / cfg_.slot_bytes);
 }
@@ -1426,7 +1253,7 @@ void SplitQueue::reset_collective() {
       txn(rt_.me(), t).state.store(0, std::memory_order_relaxed);
       txn(rt_.me(), t).count.store(0, std::memory_order_relaxed);
     }
-    overflow_[static_cast<std::size_t>(rt_.me())].clear();
+    overflow_.clear();
   }
   counters() = Counters{};  // per-phase statistics start fresh
   rt_.barrier();

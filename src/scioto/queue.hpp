@@ -28,30 +28,21 @@
 //   one region, every operation -- including the owner's local push/pop --
 //   takes the lock. Figure 7 measures the collapse this causes.
 //
-// * WaitFreeSteal (the paper's §8 future-work item): steals are lock-free.
-//   A thief snapshots (steal_head, split), copies the candidate slots
-//   word-wise, then publishes with a single compare-and-swap on
-//   steal_head; a lost race discards the (possibly torn) copy and
-//   retries, so no thief ever blocks behind another. To keep the steal
-//   path validation-only, `split` is never lowered: the owner reclaims
-//   parked work by *self-stealing* through the same CAS path. Remote adds
-//   still serialize among themselves on the victim's lock (they are rare)
-//   but publish with a CAS so they remain correct against concurrent
-//   lock-free thieves.
-//
-// * LockFree (Chase-Lev top/bottom on the shared portion): like
-//   WaitFreeSteal, thieves claim chunks with a single CAS on steal_head
-//   ("top") and never block, but the full split machinery stays live --
-//   the owner still releases by raising `split` ("bottom" of the shared
-//   window) and still *lowers* it in reacquire() through a validated
-//   seq_cst publish, falling back to a CAS self-steal when the shared
-//   portion is thin (the classic owner-CAS-on-top arbitration for the
-//   last element). What makes the unlocked claims sound against remote
-//   adds -- which move steal_head *down*, re-opening the ABA window a
-//   monotone top never has -- is a 16-bit modification tag packed into
-//   steal_head's top bits: every add bumps the tag, so a stale thief's
-//   CAS cannot succeed against a same-index-different-history word. See
-//   DESIGN.md for the full memory-order argument.
+// * LockFree (Chase-Lev top/bottom on the shared portion; the paper's §8
+//   future-work item): thieves claim chunks with a single CAS on
+//   steal_head ("top") and never block, so no thief ever waits behind
+//   another. The full split machinery stays live -- the owner still
+//   releases by raising `split` ("bottom" of the shared window) and still
+//   *lowers* it in reacquire() through a validated seq_cst publish,
+//   falling back to a CAS self-steal when the shared portion is thin (the
+//   classic owner-CAS-on-top arbitration for the last element). Remote
+//   adds still serialize among themselves on the victim's lock (they are
+//   rare) but publish with a CAS. What makes the unlocked claims sound
+//   against remote adds -- which move steal_head *down*, re-opening the
+//   ABA window a monotone top never has -- is a 16-bit modification tag
+//   packed into steal_head's top bits: every add bumps the tag, so a stale
+//   thief's CAS cannot succeed against a same-index-different-history
+//   word. See DESIGN.md for the full memory-order argument.
 //
 // Cost model: local lock-free ops charge MachineModel::local_insert/get;
 // remote ops charge lock/RMA/RMW costs through the runtime, which under
@@ -69,7 +60,7 @@
 // remote add overwrites ring slots just below steal_head, the ring itself
 // cannot serve as the recovery log -- the side buffer can. Exactly-once
 // completion holds because kills fire only at safepoints and the
-// requeue+commit sequence contains none. Wait-free steals have no lock to
+// requeue+commit sequence contains none. CAS steals have no lock to
 // anchor the transaction, so fault mode requires locked steals.
 #pragma once
 
@@ -83,10 +74,9 @@
 namespace scioto {
 
 enum class QueueMode {
-  Split,          // §5: lock-free private portion + locked shared portion
-  NoSplit,        // original fully locked queue (Figure 7 ablation)
-  WaitFreeSteal,  // §8: CAS-published steals, no thief ever blocks
-  LockFree,       // Chase-Lev: CAS steals + tagged ABA-safe adds + live split
+  Split,     // §5: lock-free private portion + locked shared portion
+  NoSplit,   // original fully locked queue (Figure 7 ablation)
+  LockFree,  // §8 / Chase-Lev: CAS steals + tagged ABA-safe adds + live split
 };
 
 const char* queue_mode_name(QueueMode mode);
@@ -95,19 +85,19 @@ class SplitQueue {
  public:
   struct Config {
     /// Whole-descriptor slot size in bytes (header + max body); rounded
-    /// up to a multiple of 8 internally (the wait-free copy is word-wise).
+    /// up to a multiple of 8 internally (the lockfree copy is word-wise).
     std::size_t slot_bytes = 64;
     /// Byte offset of the causal-lineage trailer inside each slot, or 0
     /// when no lineage session is armed. Nonzero makes a successful
     /// steal_from bump each landed record's hop count and emit one
-    /// MigrateEdge per task -- the single choke point all three steal
-    /// protocols (and the owner's self-steal reacquire, which is exempt)
-    /// funnel through. Set by TaskCollection; collectively uniform.
+    /// MigrateEdge per task -- the single choke point every steal
+    /// protocol (and the owner's self-steal reacquire, which is exempt)
+    /// funnels through. Set by TaskCollection; collectively uniform.
     std::size_t lineage_off = 0;
     /// Per-rank capacity in tasks (the paper's max_tasks).
     std::uint64_t capacity = 1 << 16;
-    /// Steal granularity in tasks (the paper's chunk_size). With a live
-    /// KnobSet attached this is only the *initial* value.
+    /// Steal granularity in tasks (the paper's chunk_size): the *initial*
+    /// value of the queue's live steal_chunk knob.
     int chunk = 10;
     /// Upper bound for the live steal-chunk knob. Steal/reacquire buffers
     /// and the fault-mode transaction log are sized for this at
@@ -116,24 +106,20 @@ class SplitQueue {
     /// control-off layouts and traces byte-identical to pre-control runs.
     /// Collective: must match across ranks (it shapes the patch layout).
     int chunk_max = 0;
-    /// Live knobs this queue reads through on every policy decision
-    /// (steal width, steal-half, release threshold). When null the static
-    /// config fields above apply, read once per decision as before. The
-    /// pointed-to KnobSet must outlive the queue and is only ever written
-    /// from the owning rank's context (see control/knobs.hpp).
-    const control::KnobSet* knobs = nullptr;
     QueueMode mode = QueueMode::Split;
     /// Owner releases work when private > release_threshold tasks and the
-    /// shared portion has fewer than `chunk` tasks.
+    /// shared portion has fewer than `chunk` tasks (0 = always eligible).
+    /// Initial value of the live release_threshold knob.
     std::uint64_t release_threshold = 2 * 10;
     /// Aborting steals: thieves trylock the victim and return kStealBusy
     /// instead of convoying on a held lock (caller re-targets). Split and
-    /// NoSplit modes only; wait-free steals never block to begin with.
+    /// NoSplit modes only; lockfree steals never block to begin with.
     bool aborting_steals = false;
     /// Steal-half adaptive chunking: a steal takes
     /// min(ceil(shared_depth / 2), chunk) tasks instead of the fixed
     /// `chunk`, so a deep victim sheds half its exposed work in one get
-    /// while a nearly-dry one is not stripped bare.
+    /// while a nearly-dry one is not stripped bare. Initial value of the
+    /// live steal_half knob.
     bool adaptive_chunk = false;
     /// Lock-light owner fast path: when the shared portion is deep enough
     /// that no in-flight thief can overrun it, reacquire() lowers `split`
@@ -162,7 +148,7 @@ class SplitQueue {
     std::uint64_t steal_attempts = 0;   // including empty-handed
     std::uint64_t tasks_stolen_in = 0;  // tasks obtained by stealing
     std::uint64_t remote_adds = 0;      // tasks we pushed to other ranks
-    std::uint64_t cas_retries = 0;      // wait-free / lockfree modes only
+    std::uint64_t cas_retries = 0;      // lockfree mode only
     std::uint64_t steal_copy_reuses = 0;  // lockfree retries that kept the
                                           // buffered chunk (same tag)
     std::uint64_t steals_aborted = 0;   // fault-truncated to zero tasks
@@ -188,8 +174,9 @@ class SplitQueue {
   /// portion is empty (shared tasks need reacquire()).
   bool pop_local(std::byte* out);
   /// Moves up to half of the shared portion back to private (Split mode
-  /// lowers the split under the lock; WaitFreeSteal self-steals through
-  /// the CAS path and re-pushes). Returns the number of tasks reclaimed.
+  /// lowers the split under the lock; LockFree publishes the lowered split
+  /// when the shared portion is deep, else self-steals through the CAS
+  /// path and re-pushes). Returns the number of tasks reclaimed.
   std::uint64_t reacquire();
   /// Donates oldest private tasks to the shared portion when the release
   /// policy triggers. Returns tasks released.
@@ -262,8 +249,14 @@ class SplitQueue {
   void reset_collective();
 
   const Config& config() const { return cfg_; }
+  /// This rank's live tuning parameters, seeded from the Config at
+  /// construction. Every policy decision (steal width, steal-half, release
+  /// threshold) reads through them, so writes take effect mid-run. Only
+  /// the owning rank reads or writes them (see control/knobs.hpp).
+  const control::KnobSet& knobs() const { return knobs_; }
+  control::KnobSet& knobs() { return knobs_; }
   std::size_t slot_bytes() const { return cfg_.slot_bytes; }
-  Counters& counters() { return counters_[static_cast<std::size_t>(rt_.me())]; }
+  Counters& counters() { return counters_; }
   pgas::Runtime& runtime() { return rt_; }
 
   // ---- Test/debug inspection (no charges; not part of the model) ----
@@ -359,6 +352,9 @@ class SplitQueue {
   /// push_local without the stash-on-fence fallback (see PushOutcome).
   PushOutcome try_push_local(const std::byte* task, int affinity);
   void stash_overflow(const std::byte* task);
+  /// Recovery requeue: pushes `n` slot-sized tasks privately, stashing
+  /// whatever does not fit.
+  void requeue_or_stash(const std::byte* tasks, std::uint64_t n);
   /// Steal boundary as seen by thieves: split in split-based modes, the
   /// whole deque in NoSplit.
   std::uint64_t steal_boundary(const Ctl& c) const;
@@ -368,21 +364,15 @@ class SplitQueue {
   /// charge (deferred_steal_copy pays the wire time after unlock).
   void copy_span_raw(Rank victim, std::uint64_t first, std::uint64_t count,
                      std::byte* out);
-  /// Live knob reads: through cfg_.knobs when attached (the control
-  /// plane's hot-swappable values), else the static config fields.
   int live_chunk() const {
-    return cfg_.knobs ? static_cast<int>(
-                            cfg_.knobs->get(control::Knob::StealChunk))
-                      : cfg_.chunk;
+    return static_cast<int>(knobs_.get(control::Knob::StealChunk));
   }
   bool live_steal_half() const {
-    return cfg_.knobs ? cfg_.knobs->get(control::Knob::StealHalf) != 0
-                      : cfg_.adaptive_chunk;
+    return knobs_.get(control::Knob::StealHalf) != 0;
   }
   std::uint64_t live_release_threshold() const {
-    return cfg_.knobs ? static_cast<std::uint64_t>(cfg_.knobs->get(
-                            control::Knob::ReleaseThreshold))
-                      : cfg_.release_threshold;
+    return static_cast<std::uint64_t>(
+        knobs_.get(control::Knob::ReleaseThreshold));
   }
   /// Steal width: fixed live chunk, or ceil(avail/2) capped at the live
   /// chunk when steal-half is on.
@@ -398,17 +388,26 @@ class SplitQueue {
   void store_slot_relaxed(Rank victim, std::uint64_t index,
                           const std::byte* src);
   int steal_from_locked(Rank victim, std::byte* out);
-  int steal_from_waitfree(Rank victim, std::byte* out);
   /// Chase-Lev claim: bounded multi-CAS take loop. Each attempt re-reads
   /// the tagged steal_head and the live knobs (chunk/steal-half), copies
   /// the candidate chunk speculatively, and publishes with one seq_cst
   /// CAS of raw -> raw + n; a lost race discards the copy and retries.
   int steal_from_lockfree(Rank victim, std::byte* out);
-  bool add_remote_waitfree(Rank target, const std::byte* task);
-  /// Like add_remote_waitfree (adders serialize on the victim's lock),
-  /// but the publishing CAS bumps the steal_head tag -- the ABA fence
-  /// the unlocked thief claims rely on.
+  /// Adders serialize among themselves on the victim's lock, but publish
+  /// with a CAS that bumps the steal_head tag -- the ABA fence the
+  /// unlocked thief claims rely on.
   bool add_remote_lockfree(Rank target, const std::byte* task);
+  /// Lock-light split lowering shared by Split mode's owner fast path and
+  /// LockFree's deep reacquire: when the shared portion holds at least
+  /// 2 * chunk_max tasks, publish split - ceil(avail / 2) with one seq_cst
+  /// store and validate that no in-flight thief can overrun it. Returns
+  /// the tasks privatized, or 0 (split restored) when the margin was too
+  /// thin and the caller must take its mode's slow path.
+  std::uint64_t lower_split_validated();
+  /// Counts, traces and meters one reacquire of `take` tasks (`fast`: by
+  /// the validated publish); returns take.
+  std::uint64_t note_reacquire(bool fast, std::uint64_t take,
+                               std::uint64_t depth);
   /// Telemetry: record an owner-op latency sample (t0 taken at op entry)
   /// and refresh this rank's queue gauges. The session check is inline,
   /// so with no metrics session an op pays one predicted-false branch and
@@ -427,6 +426,7 @@ class SplitQueue {
 
   pgas::Runtime& rt_;
   Config cfg_;
+  control::KnobSet knobs_;
   /// Normalized cfg_.chunk_max (>= chunk). Everything sized at
   /// construction -- buffers, txn log, internal capacity headroom, the
   /// owner-fastpath margin -- uses this bound, never the live chunk.
@@ -443,11 +443,14 @@ class SplitQueue {
   std::size_t txn_off_ = 0;
   std::size_t buf_off_ = 0;
   std::size_t slots_off_ = 0;
-  std::vector<Counters> counters_;
-  /// Per-rank scratch for wait-free reacquire (self-steal buffer).
-  std::vector<std::vector<std::byte>> reacquire_bufs_;
-  /// Per-rank stash for recovered tasks that did not fit the queue.
-  std::vector<std::vector<std::byte>> overflow_;
+  // Each rank constructs its own queue object, so the state below is this
+  // rank's alone.
+  Counters counters_;
+  /// Scratch for the lockfree self-steal reacquire and for drain_dead's
+  /// adoption batches.
+  std::vector<std::byte> reacquire_buf_;
+  /// Stash for recovered tasks that did not fit the queue.
+  std::vector<std::byte> overflow_;
 };
 
 }  // namespace scioto

@@ -63,35 +63,142 @@ std::string ckpt_part_path(const std::string& base, Rank r) {
 
 constexpr char kCkptMagic[8] = {'S', 'C', 'K', 'P', 'T', '1', '\n', '\0'};
 
-}  // namespace
+/// Cap on the exponential steal backoff, in termination-detection polls
+/// between steal rounds.
+constexpr int kStealBackoffMaxPolls = 64;
 
-TcStats& TcStats::operator+=(const TcStats& o) {
-  tasks_executed += o.tasks_executed;
-  tasks_spawned_local += o.tasks_spawned_local;
-  tasks_spawned_remote += o.tasks_spawned_remote;
-  steals += o.steals;
-  steals_same_node += o.steals_same_node;
-  steal_attempts += o.steal_attempts;
-  tasks_stolen += o.tasks_stolen;
-  releases += o.releases;
-  reacquires += o.reacquires;
-  td_waves_voted += o.td_waves_voted;
-  td_black_votes += o.td_black_votes;
-  td_marks_sent += o.td_marks_sent;
-  td_marks_skipped += o.td_marks_skipped;
-  tasks_recovered += o.tasks_recovered;
-  steals_aborted += o.steals_aborted;
-  op_retries += o.op_retries;
-  td_resplices += o.td_resplices;
-  steals_lock_busy += o.steals_lock_busy;
-  steal_retargets += o.steal_retargets;
-  owner_lock_acqs += o.owner_lock_acqs;
-  reacquires_fast += o.reacquires_fast;
-  time_total += o.time_total;
-  time_working += o.time_working;
-  time_searching += o.time_searching;
-  return *this;
+/// Whole-rank stall rules (stall:rank=,for=): the rank goes dark for the
+/// whole duration -- no heartbeats, no queue ops -- which is how the
+/// false-suspicion tests push a live rank past the detector's confirm
+/// timeout.
+void fault_stall(pgas::Runtime& rt) {
+  TimeNs stall = fault::rank_stall_time(rt.me());
+  if (stall > 0) {
+    TimeNs t0 = rt.now();
+    rt.charge(stall);  // sim backend: virtual time advances
+    TimeNs advanced = rt.now() - t0;
+    if (advanced < stall) {
+      // Threads backend: charge is a no-op, so stall in wall-clock.
+      std::this_thread::sleep_for(std::chrono::nanoseconds(stall - advanced));
+    }
+  }
 }
+
+/// Victim selection for one rank's steal rounds: the paper's uniform
+/// random choice (§5.1), refined in a fixed order by the §8 node bias,
+/// the control plane's hot victim set and the fault/elastic alive pool.
+/// A refinement draws from the RNG only when it is armed, so default runs
+/// consume the stream exactly as the uniform rule alone would -- the
+/// order of draws is part of every sim replay.
+struct VictimPolicy {
+  Rank me;
+  int n;
+  int cores;
+  double node_bias;
+  // Fault or elastic session: sample live ranks only. Stealing from the
+  // dead is the ward's job (drain_dead), and parked ranks have no work.
+  bool pool;
+  const std::vector<Rank>& alive_others;
+  const control::KnobSet& knobs;
+  Xoshiro256& rng;
+
+  /// Next victim, or kNoRank when there is nobody to steal from. `avoid`
+  /// deterministically shifts a repeat pick to the next candidate (no
+  /// extra RNG draws); busy-abort retargeting passes the bounced victim.
+  Rank pick(Rank avoid) {
+    Rank v = same_node();
+    if (v == kNoRank && knobs.get(control::Knob::VictimSetSize) > 0) {
+      v = hot_set(avoid);
+    }
+    if (v != kNoRank) {
+      return v;
+    }
+    return pool ? from_alive_pool(avoid) : uniform(avoid);
+  }
+
+  /// §8 multicore enhancement: optionally prefer a victim sharing our
+  /// node, whose queue we can raid through shared memory.
+  Rank same_node() {
+    if (!(node_bias > 0 && cores > 1 && rng.bernoulli(node_bias))) {
+      return kNoRank;
+    }
+    Rank node_base = (me / cores) * cores;
+    int node_sz = std::min(cores, n - node_base);
+    if (node_sz <= 1) {
+      return kNoRank;
+    }
+    Rank v = node_base + static_cast<Rank>(rng.next_below(
+                             static_cast<std::uint64_t>(node_sz - 1)));
+    if (v >= me) {
+      ++v;
+    }
+    return pool && !detect::alive(v) ? kNoRank : v;  // dead: resample
+  }
+
+  /// Restricted victim set (control plane): with the victim_set knob at
+  /// k > 0, aim at the k deepest ranks from the monitor digest (the
+  /// controller sets this under sustained imbalance -- blind uniform
+  /// choice finds one deep rank among n with probability 1/(n-1), and
+  /// every miss inflates the steal backoff). Without a digest (knob set
+  /// via the C API, no control session) fall back to the next k ranks in
+  /// ring order. A dead pick falls through to the alive pool.
+  Rank hot_set(Rank avoid) {
+    const int vset = static_cast<int>(knobs.get(control::Knob::VictimSetSize));
+    Rank hotpool[control::kMaxHotVictims];
+    int npool = 0;
+    Rank hot[control::kMaxHotVictims];
+    int nhot = control::hot_victims(hot);
+    for (int i = 0; i < nhot && npool < vset; ++i) {
+      if (hot[i] == me) continue;
+      if (pool && !detect::alive(hot[i])) continue;
+      hotpool[npool++] = hot[i];
+    }
+    if (npool > 0) {
+      std::uint64_t off = rng.next_below(static_cast<std::uint64_t>(npool));
+      Rank cand = hotpool[off];
+      if (cand == avoid && npool > 1) {
+        cand = hotpool[(off + 1) % static_cast<std::uint64_t>(npool)];
+      }
+      return cand;
+    }
+    std::uint64_t off = rng.next_below(static_cast<std::uint64_t>(vset));
+    Rank cand = static_cast<Rank>((me + 1 + static_cast<Rank>(off)) % n);
+    if (cand == avoid && vset > 1) {
+      cand = static_cast<Rank>(
+          (me + 1 + static_cast<Rank>((off + 1) % vset)) % n);
+    }
+    return !pool || detect::alive(cand) ? cand : kNoRank;
+  }
+
+  Rank from_alive_pool(Rank avoid) {
+    if (alive_others.empty()) {
+      return kNoRank;  // sole survivor: nothing left to steal from
+    }
+    std::size_t idx = static_cast<std::size_t>(
+        rng.next_below(static_cast<std::uint64_t>(alive_others.size())));
+    if (alive_others[idx] == avoid && alive_others.size() > 1) {
+      idx = (idx + 1) % alive_others.size();
+    }
+    return alive_others[idx];
+  }
+
+  /// The paper's rule: uniform over the other ranks.
+  Rank uniform(Rank avoid) {
+    Rank v = static_cast<Rank>(
+        rng.next_below(static_cast<std::uint64_t>(n - 1)));
+    if (v >= me) {
+      ++v;
+    }
+    if (v == avoid && n > 2) {
+      do {
+        v = (v + 1) % n;
+      } while (v == me);
+    }
+    return v;
+  }
+};
+
+}  // namespace
 
 Table tc_stats_table(const TcStats& s) {
   Table t({"metric", "value"});
@@ -152,7 +259,10 @@ Table tc_stats_table(const TcStats& s) {
 }
 
 TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
-    : rt_(rt), cfg_(cfg), clos_(rt) {
+    : rt_(rt),
+      cfg_(cfg),
+      clos_(rt),
+      rng_(derive_seed(rt.seed(), rt.me(), /*stream=*/0xA11)) {
   SCIOTO_REQUIRE(cfg_.max_task_body >= 0, "negative max_task_body");
   SCIOTO_REQUIRE(cfg_.chunk_size >= 1, "chunk_size must be >= 1");
   SCIOTO_REQUIRE(cfg_.max_tasks_per_rank >= 2, "max_tasks_per_rank too small");
@@ -215,20 +325,12 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   qc.adaptive_chunk = cfg_.adaptive_steal;
   qc.owner_fastpath = cfg_.owner_fastpath;
   qc.deferred_steal_copy = cfg_.deferred_steal_copy;
-  // The live KnobSet seeds from the same effective values TcConfig used to
-  // hard-wire into the queue; from here on the queue and the steal path
-  // read through it, so set_knob (and the controller) retune a running
-  // collection. The vector is sized before the queue captures a pointer
-  // into it and never resized after.
-  knobs_.resize(static_cast<std::size_t>(rt_.nprocs()));
-  control::KnobSet& ks = knobs_[static_cast<std::size_t>(rt_.me())];
-  ks.init(cfg_.chunk_size, cfg_.chunk_max, cfg_.adaptive_steal,
-          cfg_.steal_retarget_max,
-          static_cast<std::int64_t>(qc.release_threshold), rt_.nprocs());
-  qc.knobs = &ks;
+  // The queue seeds its live KnobSet from these values; from here on the
+  // queue and the steal path read through it, so set_knob (and the
+  // controller) retune a running collection.
   queue_ = std::make_unique<SplitQueue>(rt_, qc);
   if (control::active()) {
-    control::attach(rt_.me(), &ks);
+    control::attach(rt_.me(), &queue_->knobs());
   }
 
   TerminationDetector::Config tdc;
@@ -251,29 +353,11 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
     }
   }
 
-  // TaskCollection objects are constructed per rank (ARMCI style); the
-  // per-rank tables below are indexed by me() so the indexing discipline
-  // stays uniform, but only this rank's slots get real buffers -- at 512
-  // ranks, allocating everyone's steal buffers in every rank's object
-  // would waste >100 MB per collection.
-  int n = rt_.nprocs();
-  const std::size_t self = static_cast<std::size_t>(rt_.me());
-  registries_.resize(static_cast<std::size_t>(n));
-  scratch_.resize(static_cast<std::size_t>(n));
-  stats_.resize(static_cast<std::size_t>(n));
-  steal_bufs_.resize(static_cast<std::size_t>(n));
-  exec_bufs_.resize(static_cast<std::size_t>(n));
-  scratch_[self].resize(qc.slot_bytes);
-  steal_bufs_[self].resize(qc.slot_bytes *
-                           static_cast<std::size_t>(cfg_.chunk_max));
-  exec_bufs_[self].resize(qc.slot_bytes);
-  rngs_.reserve(static_cast<std::size_t>(n));
-  for (Rank r = 0; r < n; ++r) {
-    rngs_.emplace_back(derive_seed(rt_.seed(), r, /*stream=*/0xA11));
-  }
-  epoch_seen_.assign(static_cast<std::size_t>(n), ~std::uint64_t{0});
-  wards_.resize(static_cast<std::size_t>(n));
-  alive_others_.resize(static_cast<std::size_t>(n));
+  // TaskCollection objects are constructed per rank (ARMCI style), so
+  // every buffer below is this rank's alone.
+  scratch_.resize(qc.slot_bytes);
+  steal_buf_.resize(qc.slot_bytes * static_cast<std::size_t>(cfg_.chunk_max));
+  exec_buf_.resize(qc.slot_bytes);
   rt_.barrier();
 }
 
@@ -297,7 +381,7 @@ void TaskCollection::destroy() {
 TaskHandle TaskCollection::register_callback(TaskFn fn) {
   rt_.barrier();
   TaskHandle h =
-      registries_[static_cast<std::size_t>(rt_.me())].append(std::move(fn));
+      registry_.append(std::move(fn));
   rt_.barrier();
   return h;
 }
@@ -307,7 +391,7 @@ CloHandle TaskCollection::register_clo(void* local_instance) {
 }
 
 std::int64_t TaskCollection::set_knob(control::Knob k, std::int64_t v) {
-  control::KnobSet& ks = knobs_[static_cast<std::size_t>(rt_.me())];
+  control::KnobSet& ks = queue_->knobs();
   const bool changed = ks.set(k, v);
   if (changed && control::active()) {
     control::republish(rt_.me());
@@ -332,8 +416,7 @@ void TaskCollection::add_raw(Rank where, int affinity,
                  "task descriptor size " << size
                      << " outside [header, slot] bounds");
   // Pad the descriptor into a slot-sized scratch buffer (copy-in).
-  std::vector<std::byte>& scratch =
-      scratch_[static_cast<std::size_t>(rt_.me())];
+  std::vector<std::byte>& scratch = scratch_;
   std::memcpy(scratch.data(), descriptor, size);
   // Stamp creator and affinity into the stored header.
   auto* hdr = reinterpret_cast<TaskHeader*>(scratch.data());
@@ -354,15 +437,10 @@ void TaskCollection::add_raw(Rank where, int affinity,
   }
 
   bool ok;
-  if (where == rt_.me()) {
-    ok = queue_->push_local(scratch.data(), affinity);
-    if (ok) {
-      my_stats().tasks_spawned_local++;
-      queue_->release_maybe();
-    }
-  } else if ((fault::active() || detect::active()) && !detect::alive(where)) {
-    // Redirect: a task aimed at a dead rank lands locally instead of in
-    // dead memory its ward would only have to drain back out.
+  // A task aimed at a dead rank lands locally instead of in dead memory
+  // its ward would only have to drain back out.
+  if (where == rt_.me() ||
+      ((fault::active() || detect::active()) && !detect::alive(where))) {
     ok = queue_->push_local(scratch.data(), affinity);
     if (ok) {
       my_stats().tasks_spawned_local++;
@@ -388,7 +466,7 @@ void TaskCollection::add_raw(Rank where, int affinity,
 void TaskCollection::execute(std::byte* descriptor) {
   auto* hdr = reinterpret_cast<TaskHeader*>(descriptor);
   const TaskFn& fn =
-      registries_[static_cast<std::size_t>(rt_.me())].lookup(hdr->callback);
+      registry_.lookup(hdr->callback);
   TaskContext ctx{*this, *hdr, descriptor + sizeof(TaskHeader), rt_.me()};
   const TimeNs metrics_t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
   // Same clock reads the process() loop uses for time_working, so the
@@ -437,22 +515,21 @@ void TaskCollection::refresh_membership() {
   // epoch bump -- deaths, rejoins of falsely-suspected ranks, and elastic
   // admissions alike. Parked (NotJoined) ranks are neither victims nor
   // wards: their queues are empty and must never be frozen by drain_dead.
-  const std::size_t self = static_cast<std::size_t>(rt_.me());
   std::uint64_t e = detect::epoch();
-  if (e == epoch_seen_[self]) {
+  if (e == epoch_seen_) {
     return;
   }
-  epoch_seen_[self] = e;
-  wards_[self].clear();
-  alive_others_[self].clear();
+  epoch_seen_ = e;
+  wards_.clear();
+  alive_others_.clear();
   const int n = rt_.nprocs();
   for (Rank r = 0; r < n; ++r) {
     if (detect::alive(r)) {
       if (r != rt_.me()) {
-        alive_others_[self].push_back(r);
+        alive_others_.push_back(r);
       }
     } else if (detect::joined(r) && detect::successor(r) == rt_.me()) {
-      wards_[self].push_back(r);
+      wards_.push_back(r);
     }
   }
 }
@@ -484,6 +561,43 @@ void TaskCollection::fence_abort_and_rejoin() {
   td_->mark_self_black();
 }
 
+// Per-phase state of the process() loop. Cross-phase state (stats,
+// buffers, RNG) stays in the collection.
+struct TaskCollection::Phase {
+  pgas::Runtime& rt;
+  TcStats& st;
+  std::byte* exec_buf;
+  std::byte* steal_buf;
+  VictimPolicy victims;
+  bool ft;          // fault session active
+  bool elastic_on;  // elastic session with a control patch
+  std::uint64_t pump_iter = 0;
+  bool pump_now = false;  // set by idle iterations; see pump()
+  TimeNs idle_begin = 0;
+  // Searching time accumulated since the last Search trace event; one
+  // coalesced event is emitted per idle spell (at the transition back to
+  // work or at termination) instead of one per poll iteration.
+  TimeNs search_accum = 0;
+  // Steal backoff state: after each empty-handed steal round, double the
+  // number of cheap TD polls before the next round (capped).
+  int failed_steal_rounds = 0;
+  int polls_until_steal = 0;
+  std::uint64_t idle_iterations = 0;  // watchdog for diagnostics
+
+  /// Adds the idle spell since idle_begin to the searching time.
+  void note_search() {
+    TimeNs spell = rt.now() - idle_begin;
+    st.time_searching += spell;
+    search_accum += spell;
+  }
+  /// Emits the coalesced Search event for the spell so far.
+  void emit_search() {
+    SCIOTO_TRACE_EVENT(rt.me(), trace::Ev::Search, 0, 0, search_accum);
+    SCIOTO_METRIC_HIST(rt.me(), metrics::Hist::SearchNs, search_accum);
+    search_accum = 0;
+  }
+};
+
 void TaskCollection::process() {
   // One barrier separates everyone's local detector rearm from the first
   // token traffic; the exit is collective by construction (the root's
@@ -492,23 +606,22 @@ void TaskCollection::process() {
   // for an empty phase (Figure 4).
   td_->reset_local();
   rt_.barrier();
-  TcStats& st = my_stats();
-  Xoshiro256& rng = rngs_[static_cast<std::size_t>(rt_.me())];
-  std::byte* exec_buf = exec_bufs_[static_cast<std::size_t>(rt_.me())].data();
-  std::byte* steal_buf =
-      steal_bufs_[static_cast<std::size_t>(rt_.me())].data();
-  const int n = rt_.nprocs();
   const bool ft = fault::active();
   const bool elastic_on = elastic::active() && eseg_ >= 0;
   // Elastic admissions move the membership epoch without a fault session,
   // so the ward/victim-pool refresh watches it whenever either is live.
-  const bool pool = ft || elastic_on;
-  const std::size_t self = static_cast<std::size_t>(rt_.me());
+  Phase ph{rt_,
+           my_stats(),
+           exec_buf_.data(),
+           steal_buf_.data(),
+           {rt_.me(), rt_.nprocs(), rt_.machine().cores_per_node,
+            cfg_.node_steal_bias, ft || elastic_on, alive_others_,
+            queue_->knobs(), rng_},
+           ft,
+           elastic_on};
   const TimeNs t_begin = rt_.now();
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseBegin, 0, 0, 0);
   bool parked_out = false;  // phase ended while this rank was still parked
-  std::uint64_t pump_iter = 0;
-  bool pump_now = false;  // set by idle iterations; see the pump below
   if (elastic_on && !restore_done_) {
     restore_done_ = true;
     const std::string rpath = elastic::restore_path();
@@ -520,422 +633,25 @@ void TaskCollection::process() {
     }
   }
   if (elastic_on && !detect::joined(rt_.me())) {
-    if (parked_wait(st)) {
+    if (parked_wait(ph.st)) {
       td_->arm_join_white();  // first vote white; see termination.hpp
     } else {
       parked_out = true;
     }
   }
-  TimeNs idle_begin = 0;
-  // Searching time accumulated since the last Search trace event; one
-  // coalesced event is emitted per idle spell (at the transition back to
-  // work or at termination) instead of one per poll iteration.
-  TimeNs search_accum = 0;
-  // Steal backoff state: after each empty-handed steal round, double the
-  // number of cheap TD polls before the next round (capped).
-  int consecutive_failed_steals = 0;
-  int polls_until_steal = 0;
-  std::uint64_t idle_iterations = 0;  // watchdog for diagnostics
 
+  // The paper's scheduler loop: run local work, reclaim the shared
+  // portion, and once idle recover or steal work, else poll termination.
   if (!parked_out) for (;;) {
-    // Telemetry pump: under the sim backend the monitor samples in virtual
-    // time from here (the designated sampler scrapes; everyone else
-    // returns after one comparison). Charge-free, so metrics-on traces
-    // stay identical to metrics-off. No-op under threads (wall thread).
-    if (SCIOTO_METRICS_ON()) {
-      metrics::monitor_poll(rt_.me(), rt_.now());
-    }
-    // Control pump: when a controller is armed, run a local decision epoch
-    // (or apply the global planner's pending targets) at period boundaries.
-    // Charge-free and virtual-time driven, so controller-off runs trace
-    // byte-identically.
-    if (control::active() && control::poll_due(rt_.me(), rt_.now())) {
-      control::poll_epoch(rt_.me(), rt_.now(), queue_->shared_size());
-    }
-    // 0. Safepoint: injected fail-stop kills fire only here and at the
-    // post-steal safepoint below -- never while holding a lock.
-    if (ft) {
-      fault::poll_safepoint(rt_.me());
-      // Whole-rank stall rules (stall:rank=,for=): the rank goes dark for
-      // the whole duration -- no heartbeats, no queue ops -- which is how
-      // the false-suspicion tests push a live rank past the detector's
-      // confirm timeout.
-      TimeNs stall = fault::rank_stall_time(rt_.me());
-      if (stall > 0) {
-        TimeNs t0 = rt_.now();
-        rt_.charge(stall);  // sim backend: virtual time advances
-        TimeNs advanced = rt_.now() - t0;
-        if (advanced < stall) {
-          // Threads backend: charge is a no-op, so stall in wall-clock.
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(stall - advanced));
-        }
-      }
-    }
-    if (hb_) {
-      hb_->poll();
-      if (!detect::alive(rt_.me())) {
-        // We were falsely confirmed dead: a ward owns (or is about to
-        // adopt) our queue under a lease fence. Acknowledge the fence,
-        // rejoin in a fresh membership epoch, and go around -- draining
-        // nothing twice (see fence_abort_and_rejoin).
-        fence_abort_and_rejoin();
-        continue;
-      }
-    }
-    // Elastic pump: admitter scan + checkpoint trigger, cadence-gated so
-    // the common path costs one branch, and run while busy too -- a fleet
-    // cannot quiesce if only its idle ranks look for the rendezvous. Idle
-    // iterations force the pump (pump_now): they end in relax(), and on a
-    // wall-clock backend that yield stretches under thread starvation, so
-    // the 64-iteration gate could sit on a rung doorbell longer than the
-    // rest of the phase lasts. pump_iter stays monotonic either way -- it
-    // doubles as the poll count threads-backend ckpt after= rules count.
-    if (elastic_on && ((pump_iter++ & 63u) == 0 || pump_now)) {
-      pump_now = false;
-      elastic_admit_scan();
-      std::uint64_t target = elastic::ckpt_target_gen(
-          sim::current_virtual_time(),
-          static_cast<int>(std::min<std::uint64_t>(pump_iter, 1u << 30)));
-      if (target > ckpt_gen_done_) {
-        bool wrote = quiesce_and_checkpoint(target, st);
-        if (wrote && elastic::halt_after_ckpt()) {
-          break;  // restart story: snapshot durable, leave the phase
-        }
-      }
-    }
-    // 1. Drain local work (head of the queue = highest affinity).
-    if (queue_->pop_local(exec_buf)) {
-      if (search_accum > 0) {
-        SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::Search, 0, 0, search_accum);
-        SCIOTO_METRIC_HIST(rt_.me(), metrics::Hist::SearchNs, search_accum);
-        search_accum = 0;
-      }
-      TimeNs t0 = rt_.now();
-      execute(exec_buf);
-      st.time_working += rt_.now() - t0;
-      queue_->release_maybe();
-      consecutive_failed_steals = 0;
-      polls_until_steal = 0;
-      continue;
-    }
-    // 2. Reclaim work parked in our shared portion.
-    if (queue_->reacquire() > 0) {
-      continue;
-    }
-
-    // 3. Idle: interleave steal attempts with termination detection.
-    idle_begin = rt_.now();
-
-    // 3a. Fault recovery: adopt work stranded by dead ranks before trying
-    // to steal from live ones.
-    if (pool) {
-      refresh_membership();
-    }
-    if (ft) {
-      std::uint64_t recovered = queue_->recover_open_txns();
-      for (Rank d : wards_[self]) {
-        std::uint64_t adopted = queue_->drain_dead(d);
-        recovered += adopted;
-        if (adopted > 0 && control::active()) {
-          // Adopted work inherits the victim's last published knobs: the
-          // dead rank's tuning reflected the workload the tasks came from.
-          control::inherit(rt_.me(), d);
-        }
-      }
-      recovered += queue_->flush_overflow();
-      if (recovered > 0) {
-        // Recovered work re-materialized locally without a steal: our next
-        // vote must still be black, or the wave it rode in on could
-        // conclude all-white while these tasks wait to run.
-        td_->mark_self_black();
-        TimeNs spell = rt_.now() - idle_begin;
-        st.time_searching += spell;
-        search_accum += spell;
-        continue;
-      }
-    }
-
-    // 3b. Scheduler extension: parked dataflow nodes whose gates opened are
-    // re-injected by the DAG engine's idle hook. Like fault recovery above,
-    // work re-materialized locally without a steal must keep our next vote
-    // black, or the wave in flight could conclude all-white over it.
-    if (idle_hook_) {
-      std::uint64_t injected = idle_hook_();
-      if (injected > 0) {
-        td_->mark_self_black();
-        TimeNs spell = rt_.now() - idle_begin;
-        st.time_searching += spell;
-        search_accum += spell;
-        continue;
-      }
-    }
-
-    bool got_work = false;
-    bool attempted = false;
-    if (cfg_.load_balancing && n > 1 && polls_until_steal <= 0) {
-      attempted = true;
-      const int cores = rt_.machine().cores_per_node;
-      // Victim selection, shared by the first aim of each attempt and by
-      // busy-abort re-targeting. `avoid` deterministically shifts a repeat
-      // pick to the next candidate (no extra RNG draws, so default-config
-      // runs consume the stream exactly as before).
-      auto pick_victim = [&](Rank avoid) -> Rank {
-        // §8 multicore enhancement: optionally prefer a victim sharing our
-        // node, whose queue we can raid through shared memory.
-        Rank victim = kNoRank;
-        if (cfg_.node_steal_bias > 0 && cores > 1 &&
-            rng.bernoulli(cfg_.node_steal_bias)) {
-          Rank node_base = (rt_.me() / cores) * cores;
-          int node_sz = std::min(cores, n - node_base);
-          if (node_sz > 1) {
-            victim = node_base + static_cast<Rank>(rng.next_below(
-                                     static_cast<std::uint64_t>(node_sz - 1)));
-            if (victim >= rt_.me()) {
-              ++victim;
-            }
-          }
-        }
-        if (pool && victim != kNoRank && !detect::alive(victim)) {
-          victim = kNoRank;  // node bias picked a dead/parked rank; resample
-        }
-        // Restricted victim set (control plane): with the victim_set knob
-        // at k > 0, aim at the k deepest ranks from the monitor digest
-        // (the controller sets this under sustained imbalance -- blind
-        // uniform choice finds one deep rank among n with probability
-        // 1/(n-1), and every miss inflates the steal backoff). Without a
-        // digest (knob set via the C API, no control session) fall back
-        // to the next k ranks in ring order. The extra RNG draw happens
-        // only when the knob is armed, so default-config runs consume the
-        // stream exactly as before. A dead pick under fault tolerance
-        // falls through to the alive-pool sampling below.
-        const int vset = static_cast<int>(
-            knobs_[self].get(control::Knob::VictimSetSize));
-        if (victim == kNoRank && vset > 0 && n > 1) {
-          Rank hotpool[control::kMaxHotVictims];
-          int npool = 0;
-          Rank hot[control::kMaxHotVictims];
-          int nhot = control::hot_victims(hot);
-          for (int i = 0; i < nhot && npool < vset; ++i) {
-            if (hot[i] == rt_.me()) continue;
-            if (pool && !detect::alive(hot[i])) continue;
-            hotpool[npool++] = hot[i];
-          }
-          if (npool > 0) {
-            std::uint64_t off =
-                rng.next_below(static_cast<std::uint64_t>(npool));
-            Rank cand = hotpool[off];
-            if (cand == avoid && npool > 1) {
-              cand = hotpool[(off + 1) % static_cast<std::uint64_t>(npool)];
-            }
-            return cand;
-          }
-          std::uint64_t off =
-              rng.next_below(static_cast<std::uint64_t>(vset));
-          Rank cand = static_cast<Rank>(
-              (rt_.me() + 1 + static_cast<Rank>(off)) % n);
-          if (cand == avoid && vset > 1) {
-            cand = static_cast<Rank>(
-                (rt_.me() + 1 + static_cast<Rank>((off + 1) % vset)) % n);
-          }
-          if (!pool || detect::alive(cand)) {
-            return cand;
-          }
-        }
-        if (victim == kNoRank) {
-          if (pool) {
-            // Sample among live ranks only; stealing from the dead is the
-            // ward's job (drain_dead), not the victim-selection RNG's --
-            // and parked ranks have no work to take.
-            const std::vector<Rank>& pool = alive_others_[self];
-            if (pool.empty()) {
-              return kNoRank;  // sole survivor: nothing left to steal from
-            }
-            std::size_t idx = static_cast<std::size_t>(
-                rng.next_below(static_cast<std::uint64_t>(pool.size())));
-            if (pool[idx] == avoid && pool.size() > 1) {
-              idx = (idx + 1) % pool.size();
-            }
-            victim = pool[idx];
-          } else {
-            victim = static_cast<Rank>(
-                rng.next_below(static_cast<std::uint64_t>(n - 1)));
-            if (victim >= rt_.me()) {
-              ++victim;
-            }
-            if (victim == avoid && n > 2) {
-              do {
-                victim = (victim + 1) % n;
-              } while (victim == rt_.me());
-            }
-          }
-        }
-        return victim;
-      };
-      for (int attempt = 0; attempt < cfg_.steals_per_td_poll; ++attempt) {
-        Rank victim = pick_victim(kNoRank);
-        if (victim == kNoRank) {
-          break;
-        }
-        int got = 0;
-        for (int retarget = 0;;) {
-          if (queue_->peek_shared(victim) == 0) {
-            got = 0;
-            break;
-          }
-          got = queue_->steal_from(victim, steal_buf);
-          if (got != SplitQueue::kStealBusy) {
-            break;
-          }
-          // Aborted on a held lock: back off briefly (seeded + capped, so
-          // sim replays stay bit-deterministic) and aim at a different
-          // victim instead of convoying behind the current one. The budget
-          // is a live knob (initialized from cfg_.steal_retarget_max).
-          if (retarget >= static_cast<int>(knobs_[self].get(
-                              control::Knob::RetargetBudget))) {
-            got = 0;
-            break;
-          }
-          ++retarget;
-          st.steal_retargets++;
-          TimeNs b = std::min<TimeNs>(ns(200) << std::min(retarget - 1, 4),
-                                      ns(3200));
-          b = b / 2 + static_cast<TimeNs>(rng.next_below(
-                          static_cast<std::uint64_t>(b / 2) + 1));
-          rt_.charge(b);
-          Rank next = pick_victim(victim);
-          SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealRetarget, victim,
-                             next == kNoRank ? victim : next, b);
-          if (next == kNoRank) {
-            got = 0;
-            break;
-          }
-          victim = next;
-        }
-        if (got > 0 && ft) {
-          // This is the window the victim-side transaction log protects:
-          // the chunk is copied out but not yet requeued. A kill here
-          // loses only our private copy -- the victim (or its ward)
-          // replays the chunk from the log.
-          fault::poll_safepoint(rt_.me());
-          if (hb_ && !detect::alive(rt_.me())) {
-            // Falsely confirmed dead mid-steal: the victim's ward may be
-            // replaying our open transaction right now. The txn record
-            // arbitrates -- winning the 1->0 reclaim keeps the chunk ours
-            // (the ward's 1->2 claim can no longer succeed, and our later
-            // commit_steal finds the record already closed); losing means
-            // the ward replayed it and our copy must be discarded, or the
-            // chunk would run twice.
-            bool ours = queue_->reclaim_txn(victim);
-            fence_abort_and_rejoin();
-            if (!ours) {
-              got = 0;
-            }
-          }
-        }
-        if (got > 0) {
-          if (cores > 1 && rt_.machine().same_node(rt_.me(), victim)) {
-            st.steals_same_node++;
-          }
-          td_->note_lb_op(victim);
-          // The search ends with the successful steal: charge it now, before
-          // the stolen task runs, so execution time lands only in
-          // time_working (working and searching partition the phase).
-          TimeNs spell = rt_.now() - idle_begin;
-          st.time_searching += spell;
-          search_accum += spell;
-          SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::Search, 0, 0, search_accum);
-          SCIOTO_METRIC_HIST(rt_.me(), metrics::Hist::SearchNs, search_accum);
-          search_accum = 0;
-          if (ft) {
-            // Requeue the whole chunk, then close the transaction. No
-            // safepoint separates the requeue from the commit, so the
-            // chunk is either fully on our queue (committed) or fully
-            // replayable from the victim's log -- never both, never
-            // neither: completion is exactly-once.
-            for (int i = 0; i < got; ++i) {
-              bool ok = queue_->push_local(
-                  steal_buf + static_cast<std::size_t>(i) * slot_bytes(),
-                  kAffinityHigh);
-              SCIOTO_CHECK_MSG(ok, "local queue overflow requeueing steal");
-            }
-            queue_->commit_steal(victim);
-            got_work = true;
-            break;
-          }
-          // Requeue all but the first stolen task, then execute that one
-          // directly from the steal buffer. This guarantees progress per
-          // successful steal: requeued tasks are instantly stealable again
-          // (always so under no-split queues), and without it two mutually
-          // stealing ranks can bounce a task chunk forever -- a genuine
-          // livelock, not a performance nicety.
-          for (int i = 1; i < got; ++i) {
-            bool ok = queue_->push_local(
-                steal_buf + static_cast<std::size_t>(i) * slot_bytes(),
-                kAffinityHigh);
-            SCIOTO_CHECK_MSG(ok, "local queue overflow requeueing steal");
-          }
-          TimeNs t0 = rt_.now();
-          execute(steal_buf);
-          st.time_working += rt_.now() - t0;
-          queue_->release_maybe();
-          got_work = true;
-          break;
-        }
-      }
-    }
-    if (got_work) {
-      consecutive_failed_steals = 0;
-      polls_until_steal = 0;
-      continue;  // searching time already charged before the stolen task ran
-    }
-    if (attempted) {
-      ++consecutive_failed_steals;
-      if (cfg_.steal_backoff_max > 0) {
-        int shift = std::min(consecutive_failed_steals, 16);
-        polls_until_steal = std::min(1 << shift, cfg_.steal_backoff_max);
-      }
-    } else {
-      --polls_until_steal;
-    }
-    // Empty-handed: this iteration ends in the idle tail, so force the
-    // elastic pump on the next pass (rationale at the pump).
-    pump_now = elastic_on;
-
-    if (ft && queue_->overflow_pending()) {
-      // Recovered tasks parked in the overflow stash are live work the
-      // queue cannot see; keep our vote black until they drain.
-      td_->mark_self_black();
-    }
-    if (pending_hook_ && pending_hook_()) {
-      // Rank-local deferred work (parked dataflow nodes): in no queue, so
-      // termination detection cannot see it -- vote black until it runs.
-      td_->mark_self_black();
-    }
-    if (td_->step() == TerminationDetector::Status::Terminated) {
-      TimeNs spell = rt_.now() - idle_begin;
-      st.time_searching += spell;
-      search_accum += spell;
-      if (search_accum > 0) {
-        SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::Search, 0, 0, search_accum);
-        SCIOTO_METRIC_HIST(rt_.me(), metrics::Hist::SearchNs, search_accum);
-      }
-      break;
-    }
-    rt_.relax();
-    {
-      TimeNs spell = rt_.now() - idle_begin;
-      st.time_searching += spell;
-      search_accum += spell;
-    }
-    if (++idle_iterations % 1000000 == 0) {
-      SCIOTO_WARN("rank " << rt_.me() << " idle for " << idle_iterations
-                          << " iterations: queue=" << queue_->size()
-                          << " (priv=" << queue_->private_size()
-                          << " shared=" << queue_->shared_size()
-                          << ") executed=" << st.tasks_executed
-                          << " steals=" << queue_->counters().steals_in);
-    }
+    const Pumped pumped = pump(ph);
+    if (pumped == Pumped::Restart) continue;
+    if (pumped == Pumped::Leave) break;
+    if (drain(ph)) continue;
+    if (queue_->reacquire() > 0) continue;
+    ph.idle_begin = rt_.now();
+    if (recover_or_inject(ph)) continue;
+    if (steal(ph)) continue;  // searching time charged before it ran
+    if (termination_poll(ph)) break;
   }
 
   if (eseg_ >= 0) {
@@ -947,9 +663,274 @@ void TaskCollection::process() {
         .store(kPhaseOver, std::memory_order_release);
   }
   const TimeNs phase_dur = rt_.now() - t_begin;
-  st.time_total += phase_dur;
+  ph.st.time_total += phase_dur;
   SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseEnd, 0, 0, phase_dur);
-  // Fold queue/TD counters into the stats snapshot.
+  fold_counters(ph.st);
+}
+
+TaskCollection::Pumped TaskCollection::pump(Phase& ph) {
+  // Telemetry pump: under the sim backend the monitor samples in virtual
+  // time from here (the designated sampler scrapes; everyone else returns
+  // after one comparison). Charge-free, so metrics-on traces stay
+  // identical to metrics-off. No-op under threads (wall thread).
+  if (SCIOTO_METRICS_ON()) {
+    metrics::monitor_poll(rt_.me(), rt_.now());
+  }
+  // Control pump: when a controller is armed, run a local decision epoch
+  // (or apply the global planner's pending targets) at period boundaries.
+  // Charge-free and virtual-time driven, so controller-off runs trace
+  // byte-identically.
+  if (control::active() && control::poll_due(rt_.me(), rt_.now())) {
+    control::poll_epoch(rt_.me(), rt_.now(), queue_->shared_size());
+  }
+  // Safepoint: injected fail-stop kills fire only here and at the
+  // post-steal safepoint in steal() -- never while holding a lock.
+  if (ph.ft) {
+    fault::poll_safepoint(rt_.me());
+    fault_stall(rt_);
+  }
+  if (hb_) {
+    hb_->poll();
+    if (!detect::alive(rt_.me())) {
+      // We were falsely confirmed dead: a ward owns (or is about to
+      // adopt) our queue under a lease fence. Acknowledge the fence,
+      // rejoin in a fresh membership epoch, and go around -- draining
+      // nothing twice (see fence_abort_and_rejoin).
+      fence_abort_and_rejoin();
+      return Pumped::Restart;
+    }
+  }
+  // Elastic pump: cadence-gated so the common path costs one branch, and
+  // run while busy too -- a fleet cannot quiesce if only its idle ranks
+  // look for the rendezvous. Idle iterations force the pump (pump_now):
+  // they end in relax(), and on a wall-clock backend that yield stretches
+  // under thread starvation, so the 64-iteration gate could sit on a rung
+  // doorbell longer than the rest of the phase lasts. pump_iter stays
+  // monotonic either way -- it doubles as the poll count threads-backend
+  // ckpt after= rules count.
+  if (ph.elastic_on && ((ph.pump_iter++ & 63u) == 0 || ph.pump_now)) {
+    ph.pump_now = false;
+    if (elastic_pump(ph)) {
+      return Pumped::Leave;  // restart story: snapshot durable
+    }
+  }
+  return Pumped::Go;
+}
+
+bool TaskCollection::elastic_pump(Phase& ph) {
+  elastic_admit_scan();
+  std::uint64_t target = elastic::ckpt_target_gen(
+      sim::current_virtual_time(),
+      static_cast<int>(std::min<std::uint64_t>(ph.pump_iter, 1u << 30)));
+  return target > ckpt_gen_done_ &&
+         quiesce_and_checkpoint(target, ph.st) && elastic::halt_after_ckpt();
+}
+
+bool TaskCollection::drain(Phase& ph) {
+  // Head of the queue = highest affinity.
+  if (!queue_->pop_local(ph.exec_buf)) {
+    return false;
+  }
+  if (ph.search_accum > 0) {
+    ph.emit_search();
+  }
+  run_task(ph, ph.exec_buf);
+  ph.failed_steal_rounds = 0;
+  ph.polls_until_steal = 0;
+  return true;
+}
+
+void TaskCollection::run_task(Phase& ph, std::byte* descriptor) {
+  TimeNs t0 = rt_.now();
+  execute(descriptor);
+  ph.st.time_working += rt_.now() - t0;
+  queue_->release_maybe();
+}
+
+bool TaskCollection::recover_or_inject(Phase& ph) {
+  if (ph.victims.pool) {
+    refresh_membership();
+  }
+  // Fault recovery first: adopt work stranded by dead ranks before trying
+  // to steal from live ones. Then the scheduler extension: parked
+  // dataflow nodes whose gates opened are re-injected by the DAG engine's
+  // idle hook.
+  std::uint64_t found = 0;
+  if (ph.ft) {
+    found = queue_->recover_open_txns();
+    for (Rank d : wards_) {
+      std::uint64_t adopted = queue_->drain_dead(d);
+      found += adopted;
+      if (adopted > 0 && control::active()) {
+        // Adopted work inherits the victim's last published knobs: the
+        // dead rank's tuning reflected the workload the tasks came from.
+        control::inherit(rt_.me(), d);
+      }
+    }
+    found += queue_->flush_overflow();
+  }
+  if (found == 0 && idle_hook_) {
+    found = idle_hook_();
+  }
+  if (found == 0) {
+    return false;
+  }
+  // Work re-materialized locally without a steal: our next vote must
+  // still be black, or the wave in flight could conclude all-white while
+  // these tasks wait to run.
+  td_->mark_self_black();
+  ph.note_search();
+  return true;
+}
+
+bool TaskCollection::steal(Phase& ph) {
+  if (!load_balancing_ || rt_.nprocs() < 2 || ph.polls_until_steal > 0) {
+    --ph.polls_until_steal;
+    return false;
+  }
+  Rank victim = ph.victims.pick(kNoRank);
+  int got = victim == kNoRank ? 0 : steal_retargeting(ph, victim);
+  if (got > 0 && ph.ft) {
+    // This is the window the victim-side transaction log protects: the
+    // chunk is copied out but not yet requeued. A kill here loses only our
+    // private copy -- the victim (or its ward) replays the chunk from the
+    // log.
+    fault::poll_safepoint(rt_.me());
+    if (hb_ && !detect::alive(rt_.me())) {
+      // Falsely confirmed dead mid-steal: the victim's ward may be
+      // replaying our open transaction right now. The txn record
+      // arbitrates -- winning the 1->0 reclaim keeps the chunk ours (the
+      // ward's 1->2 claim can no longer succeed, and our later
+      // commit_steal finds the record already closed); losing means the
+      // ward replayed it and our copy must be discarded, or the chunk
+      // would run twice.
+      bool ours = queue_->reclaim_txn(victim);
+      fence_abort_and_rejoin();
+      if (!ours) {
+        got = 0;
+      }
+    }
+  }
+  if (got > 0) {
+    take_stolen(ph, victim, got);
+    ph.failed_steal_rounds = 0;
+    ph.polls_until_steal = 0;
+    return true;
+  }
+  // Exponential backoff on consecutive failed rounds: an idle rank doubles
+  // the number of cheap termination-detection polls between (expensive,
+  // one-sided) steal attempts. This is what lets the token wave propagate
+  // at poll speed once the system drains (Figure 4's ~2x-barrier
+  // detection cost).
+  ++ph.failed_steal_rounds;
+  ph.polls_until_steal = std::min(1 << std::min(ph.failed_steal_rounds, 16),
+                                  kStealBackoffMaxPolls);
+  return false;
+}
+
+int TaskCollection::steal_retargeting(Phase& ph, Rank& victim) {
+  for (int retarget = 0;;) {
+    if (queue_->peek_shared(victim) == 0) {
+      return 0;
+    }
+    int got = queue_->steal_from(victim, ph.steal_buf);
+    if (got != SplitQueue::kStealBusy) {
+      return got;
+    }
+    // Aborted on a held lock: back off briefly (seeded + capped, so sim
+    // replays stay bit-deterministic) and aim at a different victim
+    // instead of convoying behind the current one, within the live
+    // retarget budget.
+    if (retarget >= static_cast<int>(
+                        queue_->knobs().get(control::Knob::RetargetBudget))) {
+      return 0;
+    }
+    ++retarget;
+    ph.st.steal_retargets++;
+    TimeNs b =
+        std::min<TimeNs>(ns(200) << std::min(retarget - 1, 4), ns(3200));
+    b = b / 2 + static_cast<TimeNs>(ph.victims.rng.next_below(
+                    static_cast<std::uint64_t>(b / 2) + 1));
+    rt_.charge(b);
+    Rank next = ph.victims.pick(victim);
+    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealRetarget, victim,
+                       next == kNoRank ? victim : next, b);
+    if (next == kNoRank) {
+      return 0;
+    }
+    victim = next;
+  }
+}
+
+void TaskCollection::take_stolen(Phase& ph, Rank victim, int got) {
+  if (rt_.machine().cores_per_node > 1 &&
+      rt_.machine().same_node(rt_.me(), victim)) {
+    ph.st.steals_same_node++;
+  }
+  td_->note_lb_op(victim);
+  // The search ends with the successful steal: charge it now, before the
+  // stolen task runs, so execution time lands only in time_working
+  // (working and searching partition the phase).
+  ph.note_search();
+  ph.emit_search();
+  // Fault mode requeues the whole chunk, then closes the transaction. No
+  // safepoint separates the requeue from the commit, so the chunk is
+  // either fully on our queue (committed) or fully replayable from the
+  // victim's log -- never both, never neither: completion is exactly-once.
+  // Otherwise requeue all but the first stolen task and execute that one
+  // directly from the steal buffer. This guarantees progress per
+  // successful steal: requeued tasks are instantly stealable again (always
+  // so under no-split queues), and without it two mutually stealing ranks
+  // can bounce a task chunk forever -- a genuine livelock, not a
+  // performance nicety.
+  for (int i = ph.ft ? 0 : 1; i < got; ++i) {
+    bool ok = queue_->push_local(
+        ph.steal_buf + static_cast<std::size_t>(i) * slot_bytes(),
+        kAffinityHigh);
+    SCIOTO_CHECK_MSG(ok, "local queue overflow requeueing steal");
+  }
+  if (ph.ft) {
+    queue_->commit_steal(victim);
+  } else {
+    run_task(ph, ph.steal_buf);
+  }
+}
+
+bool TaskCollection::termination_poll(Phase& ph) {
+  // Empty-handed: this iteration ends in the idle tail, so force the
+  // elastic pump on the next pass (rationale in pump()).
+  ph.pump_now = ph.elastic_on;
+  if (ph.ft && queue_->overflow_pending()) {
+    // Recovered tasks parked in the overflow stash are live work the queue
+    // cannot see; keep our vote black until they drain.
+    td_->mark_self_black();
+  }
+  if (pending_hook_ && pending_hook_()) {
+    // Rank-local deferred work (parked dataflow nodes): in no queue, so
+    // termination detection cannot see it -- vote black until it runs.
+    td_->mark_self_black();
+  }
+  if (td_->step() == TerminationDetector::Status::Terminated) {
+    ph.note_search();
+    if (ph.search_accum > 0) {
+      ph.emit_search();
+    }
+    return true;
+  }
+  rt_.relax();
+  ph.note_search();
+  if (++ph.idle_iterations % 1000000 == 0) {
+    SCIOTO_WARN("rank " << rt_.me() << " idle for " << ph.idle_iterations
+                        << " iterations: queue=" << queue_->size()
+                        << " (priv=" << queue_->private_size()
+                        << " shared=" << queue_->shared_size()
+                        << ") executed=" << ph.st.tasks_executed
+                        << " steals=" << queue_->counters().steals_in);
+  }
+  return false;
+}
+
+void TaskCollection::fold_counters(TcStats& st) {
   const SplitQueue::Counters& qc = queue_->counters();
   st.steals = qc.steals_in;
   st.steal_attempts = qc.steal_attempts;
@@ -984,8 +965,8 @@ void TaskCollection::reset() {
     aref(ec->ckpt_done).store(0, std::memory_order_relaxed);
     aref(ec->ckpt_ndesc).store(0, std::memory_order_relaxed);
   }
-  stats_[static_cast<std::size_t>(rt_.me())] = TcStats{};
-  epoch_seen_[static_cast<std::size_t>(rt_.me())] = ~std::uint64_t{0};
+  stats_ = TcStats{};
+  epoch_seen_ = ~std::uint64_t{0};
   rt_.barrier();
 }
 
@@ -1144,7 +1125,6 @@ void TaskCollection::elastic_admit_scan() {
 bool TaskCollection::quiesce_and_checkpoint(std::uint64_t gen, TcStats& st) {
   const Rank me = rt_.me();
   const int n = rt_.nprocs();
-  const std::size_t self = static_cast<std::size_t>(me);
   const TimeNs t0 = rt_.now();
   // 1. Drain the recovery paths so everything this rank is responsible
   // for sits in its own queue before serialization: replayed steal
@@ -1152,7 +1132,7 @@ bool TaskCollection::quiesce_and_checkpoint(std::uint64_t gen, TcStats& st) {
   if (fault::active()) {
     refresh_membership();
     std::uint64_t rec = queue_->recover_open_txns();
-    for (Rank d : wards_[self]) {
+    for (Rank d : wards_) {
       rec += queue_->drain_dead(d);
     }
     rec += queue_->flush_overflow();
@@ -1441,8 +1421,7 @@ void TaskCollection::restore_from(const std::string& path) {
         // can follow the chain across the checkpoint boundary. (The
         // manifest's slot_bytes check above already rejects mixing
         // lineage-on and lineage-off fleets across a save/restore.)
-        std::vector<std::byte>& scratch =
-            scratch_[static_cast<std::size_t>(me)];
+        std::vector<std::byte>& scratch = scratch_;
         std::memcpy(scratch.data(), desc, slot_bytes());
         trace::lineage::LineageRec rec;
         std::memcpy(&rec, scratch.data() + lineage_off_, sizeof(rec));

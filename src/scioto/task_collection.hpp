@@ -48,27 +48,16 @@ struct TcConfig {
   /// Per-rank queue capacity in tasks (the paper's max_sz).
   std::int64_t max_tasks_per_rank = 1 << 16;
   /// Queue variant: Split (the paper's design), NoSplit (the original
-  /// fully locked queue, Figure 7's ablation), WaitFreeSteal (the §8
-  /// lock-free steal path), or LockFree (Chase-Lev CAS steals with the
-  /// split machinery live). Overridable at construction by the
-  /// SCIOTO_QUEUE env knob (locked | aborting | lockfree).
+  /// fully locked queue, Figure 7's ablation), or LockFree (the §8
+  /// lock-free steal path: Chase-Lev CAS steals with the split machinery
+  /// live). Overridable at construction by the SCIOTO_QUEUE env knob
+  /// (locked | aborting | lockfree).
   QueueMode queue_mode = QueueMode::Split;
-  /// The paper allows disabling dynamic load balancing before process().
-  bool load_balancing = true;
   /// §5.3 token-coloring optimization.
   bool color_optimization = true;
   /// Tasks released from private to shared when private exceeds this and
   /// the shared portion is nearly empty (0 = 2 * chunk_size).
   std::uint64_t release_threshold = 0;
-  /// Failed steal attempts on distinct victims per termination-detection
-  /// poll while idle.
-  int steals_per_td_poll = 1;
-  /// Exponential backoff on consecutive failed steal rounds: an idle rank
-  /// doubles the number of cheap termination-detection polls between
-  /// (expensive, one-sided) steal attempts, capped at this many polls.
-  /// This is what lets the token wave propagate at poll speed once the
-  /// system drains (Figure 4's ~2x-barrier detection cost). 0 disables.
-  int steal_backoff_max = 64;
   /// §8 "multicore scheduling enhancements": probability that a steal
   /// attempt targets a victim on the *same node* (cheap shared-memory
   /// transfer) instead of a uniformly random rank. Only meaningful when
@@ -77,7 +66,8 @@ struct TcConfig {
   double node_steal_bias = 0.0;
   /// Aborting steals: a thief trylocks its victim and, when the lock is
   /// held, immediately re-targets a different victim after a short seeded
-  /// backoff instead of convoying on the lock.
+  /// backoff instead of convoying on the lock (up to the live
+  /// retarget_budget knob's count of victims per round).
   bool aborting_steals = false;
   /// Steal-half adaptive chunking: steals take min(ceil(depth/2),
   /// chunk_size) tasks based on the victim's shared depth instead of the
@@ -90,9 +80,6 @@ struct TcConfig {
   /// Pay the stolen chunk's wire time after the victim's lock is released
   /// (shrinks the steal critical section to pointer updates + txn record).
   bool deferred_steal_copy = false;
-  /// Aborting steals: victims re-targeted after a busy abort before the
-  /// thief gives the round up (0 = abort straight to the TD poll).
-  int steal_retarget_max = 4;
 };
 
 /// Aggregated execution statistics (per-rank, summable across ranks).
@@ -123,8 +110,6 @@ struct TcStats {
   TimeNs time_total = 0;
   TimeNs time_working = 0;   // executing task callbacks
   TimeNs time_searching = 0; // stealing + termination detection
-
-  TcStats& operator+=(const TcStats& o);
 };
 
 /// Renders a stats snapshot as a two-column metric/value table, including
@@ -182,16 +167,15 @@ class TaskCollection {
   void process();
   /// Collective: rearms an already processed collection (tc_reset).
   void reset();
-  /// May be toggled (collectively) between phases.
-  void set_load_balancing(bool enabled) { cfg_.load_balancing = enabled; }
+  /// The paper allows disabling dynamic load balancing before process();
+  /// may be toggled (collectively) between phases.
+  void set_load_balancing(bool enabled) { load_balancing_ = enabled; }
 
   // ---- Live knobs ----
   /// This rank's live tuning parameters. The queue and the steal path read
   /// through these on every decision, so writes take effect mid-process()
   /// -- unlike the TcConfig fields, which only seed the initial values.
-  const control::KnobSet& knobs() const {
-    return knobs_[static_cast<std::size_t>(rt_.me())];
-  }
+  const control::KnobSet& knobs() const { return queue_->knobs(); }
   /// Current value of one knob.
   std::int64_t knob(control::Knob k) const { return knobs().get(k); }
   /// Clamped live write (rank-local, callable mid-run); returns the value
@@ -235,7 +219,7 @@ class TaskCollection {
   // ---- Statistics ----
   /// This rank's counters from the last process() call.
   const TcStats& stats_local() const {
-    return stats_[static_cast<std::size_t>(rt_.me())];
+    return stats_;
   }
   /// Collective: sum over all ranks.
   TcStats stats_global();
@@ -250,6 +234,35 @@ class TaskCollection {
   std::size_t slot_bytes() const { return queue_->slot_bytes(); }
 
  private:
+  /// One process() phase's loop state (defined in task_collection.cpp),
+  /// threaded through the loop's named steps below.
+  struct Phase;
+  enum class Pumped { Go, Restart, Leave };
+  // ---- process() steps, in loop order ----
+  /// Telemetry, control, fault safepoint, heartbeat and elastic pumps.
+  /// Restart: a false-suspicion fence abort ran, go around. Leave: the
+  /// elastic restart story halts the phase after a checkpoint.
+  Pumped pump(Phase& ph);
+  /// Pops and runs one local task; false when the private portion is dry.
+  bool drain(Phase& ph);
+  /// Idle: re-materializes stranded work locally without a steal (fault
+  /// recovery, then the idle hook). True when anything was found.
+  bool recover_or_inject(Phase& ph);
+  /// One steal round (victim pick, aborting-steal retargets, the fault
+  /// safepoint) with the exponential steal backoff. True on work.
+  bool steal(Phase& ph);
+  /// Termination-detection step; true once the phase has terminated.
+  bool termination_poll(Phase& ph);
+  /// Folds the queue and detector counters into this rank's TcStats.
+  void fold_counters(TcStats& st);
+  // ---- helpers of the steps ----
+  /// Admitter scan + checkpoint trigger; true to leave the phase.
+  bool elastic_pump(Phase& ph);
+  /// steal_from with busy-abort retargeting; may move `victim`.
+  int steal_retargeting(Phase& ph, Rank& victim);
+  /// Requeues a stolen chunk and runs (or, in fault mode, commits) it.
+  void take_stolen(Phase& ph, Rank victim, int got);
+  void run_task(Phase& ph, std::byte* descriptor);
   void execute(std::byte* descriptor);
   /// Detector-mode false-suspicion recovery: acknowledge the adoption
   /// fence on our queue, re-enter the membership view in a new epoch, and
@@ -274,7 +287,7 @@ class TaskCollection {
   /// descriptors round-robin across the joined ranks of this (possibly
   /// different-sized) fleet.
   void restore_from(const std::string& path);
-  TcStats& my_stats() { return stats_[static_cast<std::size_t>(rt_.me())]; }
+  TcStats& my_stats() { return stats_; }
 
   pgas::Runtime& rt_;
   TcConfig cfg_;
@@ -288,24 +301,24 @@ class TaskCollection {
   /// armed; pumped from the top of the process() loop.
   std::unique_ptr<detect::HeartbeatProbe> hb_;
   CloRegistry clos_;
-  /// Per-rank callback tables (identical contents by SPMD discipline).
-  std::vector<CallbackRegistry> registries_;
-  /// Per-rank scratch for padding descriptors to slot size.
-  std::vector<std::vector<std::byte>> scratch_;
-  std::vector<Xoshiro256> rngs_;
-  std::vector<TcStats> stats_;
-  /// Live knobs, per rank (only the self slot is initialized, like the
-  /// buffers below); the queue holds a pointer to the self slot.
-  std::vector<control::KnobSet> knobs_;
-  std::vector<std::vector<std::byte>> steal_bufs_;
-  std::vector<std::vector<std::byte>> exec_bufs_;
-  /// Fault-recovery state, per rank (used only with an active session).
+  // Each rank constructs its own collection object, so the state below
+  // is this rank's alone.
+  /// Callback table (identical contents on every rank by SPMD discipline).
+  CallbackRegistry registry_;
+  /// Scratch for padding descriptors to slot size.
+  std::vector<std::byte> scratch_;
+  /// Victim-selection and retarget-backoff stream.
+  Xoshiro256 rng_;
+  TcStats stats_;
+  std::vector<std::byte> steal_buf_;
+  std::vector<std::byte> exec_buf_;
+  /// Fault-recovery state (used only with an active session).
   /// epoch_seen_ starts at ~0 so the first idle pass populates the lists.
-  std::vector<std::uint64_t> epoch_seen_;
+  std::uint64_t epoch_seen_ = ~std::uint64_t{0};
   /// Dead ranks whose queues this rank adopts (successor(dead) == me).
-  std::vector<std::vector<Rank>> wards_;
+  std::vector<Rank> wards_;
   /// Alive ranks other than me: the fault-aware victim pool.
-  std::vector<std::vector<Rank>> alive_others_;
+  std::vector<Rank> alive_others_;
   /// Scheduler-extension hooks (see set_idle_hook / set_pending_hook).
   std::function<std::uint64_t()> idle_hook_;
   std::function<bool()> pending_hook_;
@@ -316,6 +329,7 @@ class TaskCollection {
   bool restore_done_ = false;  // the collective restore ran at first entry
   std::function<std::vector<std::byte>()> ckpt_writer_;
   std::function<void(Rank, const std::vector<std::byte>&)> ckpt_reader_;
+  bool load_balancing_ = true;
   bool live_ = true;
 };
 

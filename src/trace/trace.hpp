@@ -125,6 +125,9 @@ struct Event {
   std::int32_t b = 0;   // kind-specific payload
   std::int32_t rank = kNoRank;  // recording rank
   Ev kind = Ev::TaskBegin;
+  /// Explicit zeroed tail (the struct would otherwise end in 3 padding
+  /// bytes), so field-equal events are byte-equal wherever they land.
+  std::uint8_t pad[3] = {};
 };
 static_assert(sizeof(Event) == 32);
 

@@ -5,6 +5,10 @@
 # --trace, and the tiled Cholesky bench (plain, and with --flow for the
 # DAG-only lineage run at 16 tiles), and compares the SHA-256 of their
 # stdout and Chrome trace files against tests/virtual_outputs.sha256.
+# The steal protocols other than the default locked one are pinned too:
+# Figure 7 again under SCIOTO_QUEUE=aborting and =lockfree, and the
+# chunk ablation with trylock-abort steals (which covers steal-half).
+# Trace file names are fixed because stdout echoes them.
 # Host-side changes (SHA-1, fiber switch, allocator, tile kernels, ...)
 # must leave every byte of these files unchanged;
 # only a deliberate cost-model or scheduling change may re-record them:
@@ -31,10 +35,18 @@ cd "$out"
   > cholesky.stdout
 "$build/bench/bench_cholesky" --procs 8 --tile 16 --max-tiles 16 --flow \
   > cholesky_flow.stdout
+SCIOTO_QUEUE=aborting "$build/bench/bench_fig7_uts_cluster" --scale 9 \
+  --max-procs 32 --trace=fig7_aborting.trace.json > fig7_aborting.stdout
+SCIOTO_QUEUE=lockfree "$build/bench/bench_fig7_uts_cluster" --scale 9 \
+  --max-procs 32 --trace=fig7_lockfree.trace.json > fig7_lockfree.stdout
+"$build/bench/bench_ablation_chunk" --aborting --scale 9 \
+  > chunk_aborting.stdout
 
 if [ "${2:-}" = "--record" ]; then
   sha256sum fig7.stdout fig7.trace.json fig4.stdout fig4.trace.json \
-    cholesky.stdout cholesky_flow.stdout > "$digests"
+    cholesky.stdout cholesky_flow.stdout fig7_aborting.stdout \
+    fig7_aborting.trace.json fig7_lockfree.stdout fig7_lockfree.trace.json \
+    chunk_aborting.stdout > "$digests"
   echo "recorded $digests"
 else
   sha256sum -c "$digests"

@@ -178,8 +178,9 @@ TEST(CtlKnobs, SetClampsToInitBounds) {
   EXPECT_EQ(ks.get(Knob::StealChunk), 1);
   EXPECT_TRUE(ks.set(Knob::StealHalf, 5));
   EXPECT_EQ(ks.get(Knob::StealHalf), 1);
-  EXPECT_TRUE(ks.set(Knob::ReleaseThreshold, 0));
-  EXPECT_EQ(ks.get(Knob::ReleaseThreshold), 1);
+  // A release threshold of 0 means "always eligible"; nothing is lower.
+  EXPECT_TRUE(ks.set(Knob::ReleaseThreshold, -5));
+  EXPECT_EQ(ks.get(Knob::ReleaseThreshold), 0);
   // Victim set caps at nprocs - 1 (you cannot steal from yourself).
   EXPECT_TRUE(ks.set(Knob::VictimSetSize, 100));
   EXPECT_EQ(ks.get(Knob::VictimSetSize), 7);

@@ -75,13 +75,15 @@ struct LineageRun {
 LineageRun run_traced_uts(std::uint64_t seed, pgas::BackendKind backend,
                           QueueMode mode = QueueMode::Split,
                           bool lineage = true,
-                          const std::string& fault_plan = "") {
+                          const std::string& fault_plan = "",
+                          bool aborting = false) {
   LineageRun out;
   out.nranks = 4;
   apps::UtsParams tree = apps::uts_small();
   apps::UtsRunConfig rc;
   rc.chunk = 4;
   rc.queue_mode = mode;
+  rc.aborting_steals = aborting;
   apps::UtsResult res;
   trace::start(out.nranks, /*capacity_per_rank=*/1 << 18);
   if (lineage) {
@@ -157,13 +159,21 @@ TEST(LineageDeterminism, MergedTimelineIsBitIdenticalAcrossEightSeeds) {
 // ---- Happens-before validation: backends x steal paths ----
 
 TEST(LineageHappensBefore, HoldsOnBothBackendsAndAllThreeStealPaths) {
-  const QueueMode modes[] = {QueueMode::Split, QueueMode::WaitFreeSteal,
-                             QueueMode::LockFree};
+  // The three steal paths: blocking locked, trylock-abort locked, and the
+  // lockfree CAS claim.
+  struct StealPath {
+    const char* name;
+    QueueMode mode;
+    bool aborting;
+  };
+  const StealPath paths[] = {{"locked", QueueMode::Split, false},
+                             {"aborting", QueueMode::Split, true},
+                             {"lockfree", QueueMode::LockFree, false}};
   for (auto backend : {pgas::BackendKind::Sim, pgas::BackendKind::Threads}) {
-    for (QueueMode mode : modes) {
-      SCOPED_TRACE(testing::backend_name(backend) + "/mode=" +
-                   std::to_string(static_cast<int>(mode)));
-      LineageRun run = run_traced_uts(21, backend, mode);
+    for (const StealPath& path : paths) {
+      SCOPED_TRACE(testing::backend_name(backend) + "/" + path.name);
+      LineageRun run = run_traced_uts(21, backend, path.mode, true, "",
+                                      path.aborting);
       ASSERT_EQ(run.dropped, 0u);
       EXPECT_TRUE(run.rep.causal_order_ok())
           << "first violation: " << run.rep.violations.front();

@@ -510,15 +510,13 @@ std::uint64_t slot_id(const std::byte* buf) {
   return id;
 }
 
-SplitQueue::Config lockfree_cfg(const control::KnobSet* knobs,
-                                int chunk = 4, int chunk_max = 8,
+SplitQueue::Config lockfree_cfg(int chunk = 4, int chunk_max = 8,
                                 std::uint64_t capacity = 4096) {
   SplitQueue::Config c;
   c.slot_bytes = kSlot;
   c.capacity = capacity;
   c.chunk = chunk;
   c.chunk_max = chunk_max;
-  c.knobs = knobs;
   c.mode = QueueMode::LockFree;
   c.release_threshold = 4;
   return c;
@@ -531,11 +529,8 @@ SplitQueue::Config lockfree_cfg(const control::KnobSet* knobs,
 // deterministic steal order under sim.
 TEST(LockFreeQueueSim, ChunkFlipTakesLiveWidthOldestFirst) {
   testing::run_sim(2, [&](Runtime& rt) {
-    control::KnobSet knobs;
-    knobs.init(/*chunk=*/3, /*chunk_max=*/8, /*steal_half=*/false,
-               /*retarget_budget=*/0, /*release_threshold=*/4,
-               rt.nprocs());
-    SplitQueue q(rt, lockfree_cfg(&knobs, /*chunk=*/3));
+    SplitQueue q(rt, lockfree_cfg(/*chunk=*/3));
+    control::KnobSet& knobs = q.knobs();
     std::byte buf[kSlot];
     if (rt.me() == 0) {
       for (std::uint64_t id = 1; id <= 12; ++id) {
@@ -579,9 +574,7 @@ TEST(LockFreeQueueSim, ChunkFlipTakesLiveWidthOldestFirst) {
 // conservation after every round.
 TEST(LockFreeQueueSim, WraparoundConservation) {
   testing::run_sim(2, [&](Runtime& rt) {
-    control::KnobSet knobs;
-    knobs.init(4, 4, false, 0, 4, rt.nprocs());
-    SplitQueue q(rt, lockfree_cfg(&knobs, /*chunk=*/4, /*chunk_max=*/4,
+    SplitQueue q(rt, lockfree_cfg(/*chunk=*/4, /*chunk_max=*/4,
                                   /*capacity=*/8));
     std::byte buf[kSlot];
     std::vector<std::byte> out(4 * kSlot);
@@ -618,9 +611,9 @@ TEST(LockFreeQueueSim, WraparoundConservation) {
 // the validated fast path. Counters separate the two.
 TEST(LockFreeQueueSim, ReacquireSelfStealsThinSharedFastPathsDeep) {
   testing::run_sim(1, [&](Runtime& rt) {
-    control::KnobSet knobs;
-    knobs.init(2, 2, false, 0, 100, rt.nprocs());
-    SplitQueue q(rt, lockfree_cfg(&knobs, /*chunk=*/2, /*chunk_max=*/2));
+    SplitQueue::Config c = lockfree_cfg(/*chunk=*/2, /*chunk_max=*/2);
+    c.release_threshold = 100;
+    SplitQueue q(rt, c);
     std::byte buf[kSlot];
 
     // Thin: one task exposed -> CAS self-steal, re-pushed private.
@@ -669,11 +662,11 @@ TEST(LockFreeStealThreads, OneVictimManyThievesKnobFlipConservation) {
   constexpr std::uint64_t kTasks = 2000;
   constexpr int kRanks = 8;
   testing::run_threads(kRanks, [&](Runtime& rt) {
-    control::KnobSet knobs;  // per-rank: thief-side policy, TSan-clean
-    knobs.init(/*chunk=*/4, /*chunk_max=*/4, /*steal_half=*/true,
-               /*retarget_budget=*/0, /*release_threshold=*/4,
-               rt.nprocs());
-    SplitQueue q(rt, lockfree_cfg(&knobs, /*chunk=*/4, /*chunk_max=*/4));
+    SplitQueue::Config c = lockfree_cfg(/*chunk=*/4, /*chunk_max=*/4);
+    c.adaptive_chunk = true;  // steal-half
+    SplitQueue q(rt, c);
+    // Per-rank: the queue's own knobs are thief-side policy, TSan-clean.
+    control::KnobSet& knobs = q.knobs();
     pgas::SegId flag_seg = rt.seg_alloc(64);
     auto* done =
         reinterpret_cast<std::atomic<std::uint64_t>*>(rt.seg_ptr(flag_seg, 0));

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dag/dag.hpp"
@@ -502,6 +504,57 @@ TEST_P(TcBackends, DagCycleDetected) {
     dag.add_edge(b, a);
     EXPECT_THROW(dag.execute(), Error);
     tc.destroy();
+  });
+}
+
+// SCIOTO_QUEUE selects the steal protocol at construction, overriding
+// TcConfig; any other value fails the constructor with the accepted list.
+// "wait-free" names a protocol that was folded into lockfree.
+TEST(TcQueueEnv, SelectsStealProtocolOrRejectsAtConstruction) {
+  struct EnvGuard {
+    ~EnvGuard() { unsetenv("SCIOTO_QUEUE"); }
+  } guard;
+  testing::run_sim(1, [&](Runtime& rt) {
+    for (const char* bad : {"bogus", "wait-free"}) {
+      ASSERT_EQ(setenv("SCIOTO_QUEUE", bad, 1), 0);
+      try {
+        TaskCollection tc(rt, small_cfg());
+        ADD_FAILURE() << "SCIOTO_QUEUE=" << bad << " was accepted";
+        tc.destroy();
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "expected locked|aborting|lockfree"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+
+    ASSERT_EQ(setenv("SCIOTO_QUEUE", "locked", 1), 0);
+    {
+      TcConfig cfg = small_cfg();
+      cfg.aborting_steals = true;
+      TaskCollection tc(rt, cfg);
+      EXPECT_EQ(tc.queue_mode(), QueueMode::Split);
+      EXPECT_FALSE(tc.config().aborting_steals);
+      tc.destroy();
+    }
+    ASSERT_EQ(setenv("SCIOTO_QUEUE", "aborting", 1), 0);
+    {
+      TaskCollection tc(rt, small_cfg());
+      EXPECT_EQ(tc.queue_mode(), QueueMode::Split);
+      EXPECT_TRUE(tc.config().aborting_steals);
+      tc.destroy();
+    }
+
+    // The C API reports the effective protocol by name.
+    capi::RuntimeBinding bind(rt);
+    for (const char* mode : {"aborting", "lockfree"}) {
+      ASSERT_EQ(setenv("SCIOTO_QUEUE", mode, 1), 0);
+      tc_t tc = tc_create(16, 4, 1024);
+      EXPECT_STREQ(tc_queue_mode(tc),
+                   std::string(mode) == "lockfree" ? "lockfree" : "split");
+      tc_destroy(tc);
+    }
   });
 }
 

@@ -7,6 +7,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -67,6 +68,27 @@ TEST(TraceSink, WrapsOverwritingOldestAndCountsDropped) {
   sink.clear();
   EXPECT_EQ(sink.size(), 0u);
   EXPECT_EQ(sink.dropped(), 0u);
+}
+
+// Event has no padding: field-equal events are byte-equal even when they
+// are built over memory holding different garbage, so traces can be
+// hashed or compared as raw bytes.
+TEST(TraceSink, FieldEqualEventsAreByteEqualOverDirtyMemory) {
+  alignas(trace::Event) unsigned char a[sizeof(trace::Event)];
+  alignas(trace::Event) unsigned char b[sizeof(trace::Event)];
+  std::memset(a, 0xAA, sizeof(a));
+  std::memset(b, 0x55, sizeof(b));
+  auto* ea = new (a) trace::Event;
+  auto* eb = new (b) trace::Event;
+  for (trace::Event* e : {ea, eb}) {
+    e->t = 123;
+    e->c = -7;
+    e->a = 3;
+    e->b = 4;
+    e->rank = 2;
+    e->kind = trace::Ev::StealOk;
+  }
+  EXPECT_EQ(std::memcmp(a, b, sizeof(trace::Event)), 0);
 }
 
 TEST(TraceSession, InactiveByDefaultAndRecordIsNoOp) {
