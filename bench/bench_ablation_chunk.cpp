@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       UtsRunConfig rc;
       rc.chunk = row.chunk;
       rc.adaptive_steal = row.adaptive;
-      rc.aborting_steals = aborting;
+      rc.queue_mode = aborting ? QueueMode::Aborting : QueueMode::Split;
       UtsResult res;
       pgas::run_spmd(cfg, [&](pgas::Runtime& rt) {
         res = uts_run_scioto(rt, w.tree, rc);

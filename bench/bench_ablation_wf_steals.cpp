@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
   sim::MachineModel nic_amo = sim::cluster2008();
   nic_amo.rmw_service = nic_amo.rma_service;
 
-  // The adaptive steal engine is the locked design's answer to the same
-  // convoying problem the CAS path attacks: thieves abort instead of
-  // blocking, and the owner publishes split moves without the lock.
+  // The adaptive row is the locked design's answer to the same convoying
+  // problem the CAS path attacks: thieves abort instead of blocking
+  // (QueueMode::Aborting) and take half a deep victim's shared portion.
   auto run_one = [&](int p, const sim::MachineModel& m, QueueMode mode,
-                     bool adaptive_engine) {
+                     bool adaptive_steal) {
     pgas::Config cfg;
     cfg.nranks = p;
     cfg.backend = pgas::BackendKind::Sim;
@@ -50,12 +50,7 @@ int main(int argc, char** argv) {
     pgas::run_spmd(cfg, [&](pgas::Runtime& rt) {
       UtsRunConfig rc;
       rc.queue_mode = mode;
-      if (adaptive_engine) {
-        rc.aborting_steals = opts.get_flag("aborting");
-        rc.adaptive_steal = opts.get_flag("adaptive");
-        rc.owner_fastpath = true;
-        rc.deferred_steal_copy = true;
-      }
+      rc.adaptive_steal = adaptive_steal;
       res = uts_run_scioto(rt, tree, rc);
     });
     SCIOTO_CHECK_MSG(res.counts == expected, "traversal mismatch");
@@ -66,7 +61,11 @@ int main(int argc, char** argv) {
            "LF-NicAMO(Mn/s)", "LF-NicAMO/Locked", "Busy", "Retargets"});
   for (int p : {8, 16, 32, 64}) {
     UtsResult locked = run_one(p, host_amo, QueueMode::Split, false);
-    UtsResult adaptive = run_one(p, host_amo, QueueMode::Split, true);
+    UtsResult adaptive =
+        run_one(p, host_amo,
+                opts.get_flag("aborting") ? QueueMode::Aborting
+                                          : QueueMode::Split,
+                opts.get_flag("adaptive"));
     UtsResult lf_host = run_one(p, host_amo, QueueMode::LockFree, false);
     UtsResult lf_nic = run_one(p, nic_amo, QueueMode::LockFree, false);
     t.add_row({Table::fmt(std::int64_t{p}),

@@ -2,15 +2,14 @@
 //
 // The claim under test (the control subsystem's win condition): starting
 // from the *default* configuration (chunk 10, fixed-width steals, stock
-// release threshold), the online controller -- local or global placement,
-// default rules -- matches or beats the best hand-picked static chunk on
+// release threshold), the online controller -- default rules -- matches or beats the best hand-picked static chunk on
 // the bursty binomial tree, because it discovers mid-run what the static
 // sweep needs a full grid search to find (steal-half + eager release
 // while the root burst drains, then calmer settings as the fleet evens
 // out). Every decision it took is available as a JSONL log and as
 // knob_change trace events.
 //
-// Also measures the metrics fast path the local controller rides on:
+// Also measures the metrics fast path the controller rides on:
 // own-rank counter reads via direct relaxed loads (metrics::own_ctr)
 // against the general seqlock scrape -- the difference is why a per-rank
 // controller can poll every scheduling iteration.
@@ -120,40 +119,29 @@ int main(int argc, char** argv) {
                "-"});
   }
 
-  double adaptive_tp[2] = {0.0, 0.0};
-  std::uint64_t adaptive_decisions[2] = {0, 0};
-  const control::Mode modes[2] = {control::Mode::Local,
-                                  control::Mode::Global};
-  const char* mode_labels[2] = {"adaptive local", "adaptive global"};
-  for (int m = 0; m < 2; ++m) {
-    // Stage the controller; run_spmd arms it (and the metrics plane it
-    // reads) inside the run. Everything else stays at defaults -- this is
-    // the "no hand-tuning" row.
-    control::Config cc = control::config();
-    cc.mode = modes[m];
-    control::set_config(cc);
-    UtsResult res = run_once(t2, procs, /*chunk=*/10);
-    cc.mode = control::Mode::Off;
-    control::set_config(cc);
-    SCIOTO_CHECK_MSG(res.counts == expected, "traversal mismatch");
-    control::Stats cs = control::stats();
-    adaptive_tp[m] = res.mnodes_per_sec;
-    adaptive_decisions[m] = cs.decisions;
-    t.add_row({mode_labels[m], Table::fmt(res.mnodes_per_sec, 2),
-               Table::fmt(static_cast<std::int64_t>(res.steals)),
-               Table::fmt(res.steals
-                              ? static_cast<double>(res.tasks_stolen) /
-                                    static_cast<double>(res.steals)
-                              : 0.0,
-                          2),
-               Table::fmt(static_cast<std::int64_t>(cs.decisions))});
-  }
+  // Stage the controller; run_spmd arms it (and the metrics plane it
+  // reads) inside the run. Everything else stays at defaults -- this is
+  // the "no hand-tuning" row.
+  control::Config cc = control::config();
+  cc.mode = control::Mode::Local;
+  control::set_config(cc);
+  UtsResult res = run_once(t2, procs, /*chunk=*/10);
+  cc.mode = control::Mode::Off;
+  control::set_config(cc);
+  SCIOTO_CHECK_MSG(res.counts == expected, "traversal mismatch");
+  const double adaptive_tp = res.mnodes_per_sec;
+  const std::uint64_t adaptive_decisions = control::stats().decisions;
+  t.add_row({"adaptive local", Table::fmt(res.mnodes_per_sec, 2),
+             Table::fmt(static_cast<std::int64_t>(res.steals)),
+             Table::fmt(res.steals ? static_cast<double>(res.tasks_stolen) /
+                                         static_cast<double>(res.steals)
+                                   : 0.0,
+                        2),
+             Table::fmt(static_cast<std::int64_t>(adaptive_decisions))});
   t.print("Adaptive controller (default config) vs static chunk grid "
           "(UTS T2, Scioto split queues)");
-  std::printf("best static %.2f Mn/s; adaptive local %.2f (%.3fx), "
-              "global %.2f (%.3fx)\n",
-              best_static, adaptive_tp[0], adaptive_tp[0] / best_static,
-              adaptive_tp[1], adaptive_tp[1] / best_static);
+  std::printf("best static %.2f Mn/s; adaptive local %.2f (%.3fx)\n",
+              best_static, adaptive_tp, adaptive_tp / best_static);
 
   double fast_ns = 0, scrape_ns = 0;
   fastpath_micro(&fast_ns, &scrape_ns);
@@ -173,12 +161,9 @@ int main(int argc, char** argv) {
                    static_tp[i]);
     }
     std::fprintf(f, "},\n  \"best_static_mnps\": %.4f,\n", best_static);
-    std::fprintf(f, "  \"adaptive_local_mnps\": %.4f,\n", adaptive_tp[0]);
-    std::fprintf(f, "  \"adaptive_global_mnps\": %.4f,\n", adaptive_tp[1]);
+    std::fprintf(f, "  \"adaptive_local_mnps\": %.4f,\n", adaptive_tp);
     std::fprintf(f, "  \"adaptive_local_decisions\": %llu,\n",
-                 static_cast<unsigned long long>(adaptive_decisions[0]));
-    std::fprintf(f, "  \"adaptive_global_decisions\": %llu,\n",
-                 static_cast<unsigned long long>(adaptive_decisions[1]));
+                 static_cast<unsigned long long>(adaptive_decisions));
     std::fprintf(f, "  \"fastpath_own_ctr_ns\": %.2f,\n", fast_ns);
     std::fprintf(f, "  \"fastpath_scrape_ns\": %.2f\n}\n", scrape_ns);
     std::fclose(f);

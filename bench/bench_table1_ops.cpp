@@ -156,12 +156,11 @@ OpTimes measure(const sim::MachineModel& machine, int iters,
 /// Release row: the owner's half of the split machinery under the same
 /// contention -- the owner drains its private side (charging a per-task
 /// execution cost) and reacquires from the shared side while thieves
-/// strip it. Locked-mode thin reacquires must take the owner's own lock
-/// and queue behind remote thief holds; lockfree thin reacquires
-/// self-steal through a LOCAL CAS (plus the same validated fast-path
-/// publish both modes share when the window is deep). release_maybe
-/// itself is an unlocked local split-raise in every split-based mode and
-/// adds nothing to either side.
+/// strip it. Locked-mode reacquires must take the owner's own lock and
+/// queue behind remote thief holds; lockfree reacquires publish a
+/// validated split when the window is deep and self-steal through a
+/// LOCAL CAS when it is thin. release_maybe itself is an unlocked local
+/// split-raise in every split-based mode and adds nothing to either side.
 ///
 /// The converse regime is Table 1's bulk steal (1 kB bodies, chunk 10,
 /// deep window): there the chunk's wire time dominates, a failed CAS
@@ -173,7 +172,7 @@ struct ModeTimes {
 };
 
 ModeTimes measure_mode(const sim::MachineModel& machine, QueueMode mode,
-                       bool aborting, int steal_iters) {
+                       int steal_iters) {
   ModeTimes out;
   pgas::Config cfg;
   cfg.nranks = 8;  // one victim, seven thieves: the fig7 tail shape
@@ -189,7 +188,6 @@ ModeTimes measure_mode(const sim::MachineModel& machine, QueueMode mode,
     qc.chunk = 2;
     qc.capacity = 1u << 16;
     qc.mode = mode;
-    qc.aborting_steals = aborting;
     SplitQueue q(rt, qc);
     std::vector<std::byte> task(qc.slot_bytes, std::byte{7});
     std::vector<std::byte> steal_buf(qc.slot_bytes * qc.chunk);
@@ -348,14 +346,11 @@ int main(int argc, char** argv) {
   // --- Per-queue-mode contended steal/release comparison ---
   const int mode_iters = std::max(20, iters / 5);
   ModeTimes locked =
-      measure_mode(sim::cluster2008_uniform(), QueueMode::Split,
-                   /*aborting=*/false, mode_iters);
-  ModeTimes aborting =
-      measure_mode(sim::cluster2008_uniform(), QueueMode::Split,
-                   /*aborting=*/true, mode_iters);
-  ModeTimes lockfree =
-      measure_mode(sim::cluster2008_uniform(), QueueMode::LockFree,
-                   /*aborting=*/false, mode_iters);
+      measure_mode(sim::cluster2008_uniform(), QueueMode::Split, mode_iters);
+  ModeTimes aborting = measure_mode(sim::cluster2008_uniform(),
+                                    QueueMode::Aborting, mode_iters);
+  ModeTimes lockfree = measure_mode(sim::cluster2008_uniform(),
+                                    QueueMode::LockFree, mode_iters);
 
   Table mt({"Queue Mode", "Steal(us, 7 thieves)", "Release(us)"});
   mt.add_row({"locked", Table::fmt(locked.steal_us, 3),

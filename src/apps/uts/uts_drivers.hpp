@@ -19,21 +19,16 @@ struct UtsRunConfig {
   TimeNs node_cost = ns(316);
   /// Steal granularity in tasks (paper microbenchmarks use 10).
   int chunk = 10;
-  /// Queue variant: NoSplit gives the "No Split" ablation line of
-  /// Figure 7; LockFree exercises the §8 lock-free steal path.
+  /// Queue variant and steal protocol (see QueueMode); NoSplit gives the
+  /// "No Split" ablation line of Figure 7.
   QueueMode queue_mode = QueueMode::Split;
   /// §5.3 token-coloring optimization.
   bool color_optimization = true;
   /// Per-rank queue capacity.
   std::int64_t max_tasks = 1 << 14;
-  /// Adaptive steal engine knobs (see TcConfig): trylock-abort + retarget,
-  /// steal-half chunking, the owner's lock-free split publish, and the
-  /// shrunken steal critical section. All default off (the paper's
-  /// blocking fixed-chunk protocol).
-  bool aborting_steals = false;
+  /// Steal-half chunking (see TcConfig). Default off: the paper's
+  /// fixed-chunk steals.
   bool adaptive_steal = false;
-  bool owner_fastpath = false;
-  bool deferred_steal_copy = false;
   /// MPI-WS: nodes processed between polls for steal requests. The
   /// original UTS-MPI polls on every node -- this explicit polling is
   /// precisely the overhead the paper credits Scioto with eliminating

@@ -21,7 +21,6 @@ const char* mode_name(Mode m) {
   switch (m) {
     case Mode::Off: return "off";
     case Mode::Local: return "local";
-    case Mode::Global: return "global";
   }
   return "?";
 }
@@ -29,7 +28,6 @@ const char* mode_name(Mode m) {
 bool mode_from_name(const std::string& s, Mode* out) {
   if (s == "off" || s.empty()) { *out = Mode::Off; return true; }
   if (s == "local") { *out = Mode::Local; return true; }
-  if (s == "global") { *out = Mode::Global; return true; }
   return false;
 }
 
@@ -39,7 +37,6 @@ const char* reason_name(int r) {
     case kReasonHighCov: return "high_cov";
     case kReasonCalm: return "calm";
     case kReasonBusy: return "busy";
-    case kReasonTarget: return "target";
     case kReasonInherit: return "inherit";
   }
   return "?";
@@ -228,29 +225,19 @@ struct alignas(64) RankRow {
   // still read a dead rank's last published values.
   std::atomic<std::int64_t> pub[kNumKnobs] = {};
   std::atomic<std::uint64_t> pub_version{0};
-  // Global-controller targets: the planner writes values then bumps the
-  // version (release); the owner polls the version (acquire) one-sidedly
-  // and applies the whole row on change.
-  std::atomic<std::int64_t> tgt[kNumKnobs] = {};
-  std::atomic<std::uint64_t> tgt_version{0};
-  // Owner-only local-controller state.
+  // Owner-only state, including the rank's rule-engine state.
   KnobSet* knobs = nullptr;
   TimeNs next_epoch = 0;
   bool primed = false;
   std::uint64_t prev_attempts = 0, prev_steals = 0, prev_busy = 0;
-  std::uint64_t applied_tgt_version = 0;
   RuleEngine engine;
-  // Planner-only per-rank state (serialized by the monitor's sample lock).
-  bool planner_primed = false;
-  std::uint64_t p_attempts = 0, p_steals = 0, p_busy = 0;
-  RuleEngine planner_engine;
 };
 
 struct CtlSession {
   Config cfg;
   int nranks = 0;
   std::unique_ptr<RankRow[]> rows;
-  // Fleet digest the monitor hook publishes for local controllers:
+  // Fleet digest the monitor hook publishes for the controllers:
   // the latest CoV (as raw double bits), a sample count, and the deepest
   // alive ranks packed 16 bits each (0xFFFF = empty slot) for the
   // restricted-victim-set steal path.
@@ -261,7 +248,6 @@ struct CtlSession {
   std::vector<DecisionRecord> log;
   std::atomic<std::uint64_t> st_epochs{0};
   std::atomic<std::uint64_t> st_decisions{0};
-  std::atomic<std::uint64_t> st_targets{0};
   std::atomic<std::uint64_t> st_inherits{0};
 };
 
@@ -286,12 +272,6 @@ void publish_row(RankRow& row) {
                         std::memory_order_release);
 }
 
-void log_decision(TimeNs t, Rank r, Knob k, std::int64_t v, int reason,
-                  bool planner) {
-  std::lock_guard<std::mutex> lk(g_ctl.log_mu);
-  g_ctl.log.push_back(DecisionRecord{t, r, k, v, reason, planner});
-}
-
 /// Owner-side: push one decision through the KnobSet; on change, trace
 /// it, mirror it into the ctl_* gauges, publish, and log.
 bool apply_owner(Rank r, RankRow& row, const Decision& d, TimeNs t) {
@@ -312,7 +292,8 @@ bool apply_owner(Rank r, RankRow& row, const Decision& d, TimeNs t) {
   SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlVictimSet,
                       row.knobs->get(Knob::VictimSetSize));
   g_ctl.st_decisions.fetch_add(1, std::memory_order_relaxed);
-  log_decision(t, r, d.knob, applied, d.reason, /*planner=*/false);
+  std::lock_guard<std::mutex> lk(g_ctl.log_mu);
+  g_ctl.log.push_back(DecisionRecord{t, r, d.knob, applied, d.reason});
   return true;
 }
 
@@ -329,12 +310,11 @@ double digest_cov(bool* have) {
   return cov;
 }
 
-/// The monitor sample hook: publishes the fleet digest, and in global
-/// mode runs the rule engine per alive rank over the scraped snapshots
-/// and publishes per-rank targets. Runs in the sampler's context (the
-/// designated rank's fiber under sim, the monitor thread under threads),
-/// serialized by the monitor's sample lock.
-void planner_tick(const metrics::FleetSample& s) {
+/// The monitor sample hook: publishes the fleet digest (CoV and the
+/// deepest alive ranks). Runs in the sampler's context (the designated
+/// rank's fiber under sim, the monitor thread under threads), serialized
+/// by the monitor's sample lock.
+void digest_tick(const metrics::FleetSample& s) {
   if (!g_active.load(std::memory_order_acquire)) return;
   std::uint64_t bits;
   double cov = s.cov;
@@ -372,55 +352,6 @@ void planner_tick(const metrics::FleetSample& s) {
   }
   g_ctl.digest_hot.store(packed, std::memory_order_relaxed);
   g_ctl.digest_samples.fetch_add(1, std::memory_order_release);
-  if (g_ctl.cfg.mode != Mode::Global) return;
-  for (const metrics::RankSample& rs : s.ranks) {
-    // Never retune a fenced or dead rank: its targets freeze at the
-    // last published version and its row stays readable for wards.
-    if (rs.state != metrics::RankState::Alive) continue;
-    if (rs.r < 0 || rs.r >= g_ctl.nranks) continue;
-    RankRow& row = g_ctl.rows[rs.r];
-    if (row.pub_version.load(std::memory_order_acquire) == 0) continue;
-    metrics::Snapshot snap;
-    if (!metrics::scrape(rs.r, &snap)) continue;
-    std::uint64_t att = snap.ctr(metrics::Ctr::StealAttempts);
-    std::uint64_t st = snap.ctr(metrics::Ctr::Steals);
-    std::uint64_t busy = snap.ctr(metrics::Ctr::StealLockBusy);
-    std::int64_t cur[kNumKnobs];
-    for (int k = 0; k < kNumKnobs; ++k) {
-      cur[k] = row.pub[k].load(std::memory_order_relaxed);
-    }
-    if (!row.planner_primed) {
-      row.planner_primed = true;
-      row.planner_engine = RuleEngine(g_ctl.cfg.rules, cur, g_ctl.nranks);
-      for (int k = 0; k < kNumKnobs; ++k) {
-        row.tgt[k].store(cur[k], std::memory_order_relaxed);
-      }
-      row.p_attempts = att;
-      row.p_steals = st;
-      row.p_busy = busy;
-      continue;
-    }
-    Signals sig;
-    sig.attempts = att - row.p_attempts;
-    sig.steals = st - row.p_steals;
-    sig.busy = busy - row.p_busy;
-    sig.shared_depth = rs.shared;
-    sig.cov = s.cov;
-    sig.have_cov = s.alive + s.suspects >= 2;
-    row.p_attempts = att;
-    row.p_steals = st;
-    row.p_busy = busy;
-    std::vector<Decision> ds;
-    row.planner_engine.step(sig, cur, &ds);
-    if (ds.empty()) continue;
-    for (const Decision& d : ds) {
-      row.tgt[static_cast<int>(d.knob)].store(d.value,
-                                              std::memory_order_relaxed);
-      log_decision(s.t, rs.r, d.knob, d.value, d.reason, /*planner=*/true);
-    }
-    row.tgt_version.fetch_add(1, std::memory_order_release);
-    g_ctl.st_targets.fetch_add(1, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace
@@ -433,7 +364,7 @@ void start(int nranks, const Config& cfg) {
   SCIOTO_REQUIRE(!active(), "control session already active");
   SCIOTO_REQUIRE(nranks >= 1, "control session needs >= 1 rank");
   SCIOTO_REQUIRE(cfg.mode != Mode::Off,
-                 "control::start needs mode local or global");
+                 "control::start needs mode local");
   SCIOTO_REQUIRE(metrics::active(),
                  "control needs an active metrics session (the controller "
                  "reads the metric patches)");
@@ -450,11 +381,10 @@ void start(int nranks, const Config& cfg) {
   }
   g_ctl.st_epochs.store(0, std::memory_order_relaxed);
   g_ctl.st_decisions.store(0, std::memory_order_relaxed);
-  g_ctl.st_targets.store(0, std::memory_order_relaxed);
   g_ctl.st_inherits.store(0, std::memory_order_relaxed);
   g_active.store(true, std::memory_order_release);
   metrics::monitor_set_sample_hook(
-      [](const metrics::FleetSample& s) { planner_tick(s); });
+      [](const metrics::FleetSample& s) { digest_tick(s); });
   metrics::monitor_set_knobs_text([](Rank r) { return knobs_text(r); });
 }
 
@@ -472,8 +402,7 @@ void attach(Rank r, KnobSet* knobs) {
   RankRow& row = g_ctl.rows[r];
   row.knobs = knobs;
   row.next_epoch = 0;
-  row.primed = false;
-  row.applied_tgt_version = row.tgt_version.load(std::memory_order_relaxed);
+  row.primed = false;  // re-prime over the new KnobSet
   publish_row(row);
 }
 
@@ -487,31 +416,14 @@ void detach(Rank r) {
 bool poll_due(Rank r, TimeNs now) {
   if (!in_session(r)) return false;
   RankRow& row = g_ctl.rows[r];
-  if (row.knobs == nullptr) return false;
-  if (g_ctl.cfg.mode == Mode::Local) return now >= row.next_epoch;
-  return row.tgt_version.load(std::memory_order_relaxed) !=
-         row.applied_tgt_version;
+  return row.knobs != nullptr && now >= row.next_epoch;
 }
 
 void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth) {
-  if (!in_session(r)) return;
-  RankRow& row = g_ctl.rows[r];
-  if (row.knobs == nullptr) return;
   // A fenced/suspected rank never retunes itself; it will either die (its
   // row freezing for the ward) or rejoin and resume at the next epoch.
-  if (detect::active() && !detect::alive(r)) return;
-  if (g_ctl.cfg.mode == Mode::Global) {
-    std::uint64_t v = row.tgt_version.load(std::memory_order_acquire);
-    if (v == row.applied_tgt_version) return;
-    row.applied_tgt_version = v;
-    for (int k = 0; k < kNumKnobs; ++k) {
-      Decision d{static_cast<Knob>(k),
-                 row.tgt[k].load(std::memory_order_relaxed), kReasonTarget};
-      apply_owner(r, row, d, now);
-    }
-    return;
-  }
-  if (now < row.next_epoch) return;
+  if (!poll_due(r, now) || (detect::active() && !detect::alive(r))) return;
+  RankRow& row = g_ctl.rows[r];
   row.next_epoch = now + g_ctl.cfg.period;
   std::uint64_t att = metrics::own_ctr(r, metrics::Ctr::StealAttempts);
   std::uint64_t st = metrics::own_ctr(r, metrics::Ctr::Steals);
@@ -618,8 +530,7 @@ std::string decisions_jsonl() {
   for (const DecisionRecord& d : ds) {
     os << "{\"t\":" << d.t << ",\"rank\":" << d.rank << ",\"knob\":\""
        << knob_name(d.knob) << "\",\"value\":" << d.value << ",\"reason\":\""
-       << reason_name(d.reason) << "\",\"planner\":"
-       << (d.planner ? "true" : "false") << "}\n";
+       << reason_name(d.reason) << "\"}\n";
   }
   return os.str();
 }
@@ -628,7 +539,6 @@ Stats stats() {
   Stats s;
   s.epochs = g_ctl.st_epochs.load(std::memory_order_relaxed);
   s.decisions = g_ctl.st_decisions.load(std::memory_order_relaxed);
-  s.targets_published = g_ctl.st_targets.load(std::memory_order_relaxed);
   s.inherits = g_ctl.st_inherits.load(std::memory_order_relaxed);
   return s;
 }

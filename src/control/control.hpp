@@ -7,24 +7,17 @@
 // metric snapshots and retunes each rank's live KnobSet (knobs.hpp)
 // through a shared hysteresis/epoch rule engine.
 //
-// Two placements share the same engine:
+// Every rank runs its own controller inside the scheduling loop. At each
+// virtual-time epoch it reads its own counters through the metrics fast
+// path (own-patch relaxed loads, no seqlock scrape), folds in a cheap
+// fleet digest the monitor publishes (CoV of queue depths, deepest
+// ranks), and retunes its own knobs.
 //
-//  * local  -- every rank runs its own controller inside the scheduling
-//    loop. At each virtual-time epoch it reads its own counters through
-//    the metrics fast path (own-patch relaxed loads, no seqlock scrape),
-//    folds in a cheap fleet digest the monitor publishes (CoV of queue
-//    depths), and retunes its own knobs.
-//  * global -- the fleet monitor is the controller. After each sample it
-//    runs the rule engine per alive rank over the scraped snapshots and
-//    publishes per-rank *targets* into a knob segment; ranks poll the
-//    segment one-sidedly (one relaxed version check per loop) and apply
-//    changed targets to their own KnobSet.
-//
-// Either way the knobs themselves are only ever written from the owning
-// rank's context, so the queue/steal hot paths read plain (non-atomic)
-// values; all cross-rank traffic goes through this session's atomic rows
-// (published knobs, targets, fleet digest) -- the single-address-space
-// analog of a one-sided knob segment.
+// The knobs themselves are only ever written from the owning rank's
+// context, so the queue/steal hot paths read plain (non-atomic) values;
+// all cross-rank traffic goes through this session's atomic rows
+// (published knobs, fleet digest) -- the single-address-space analog of
+// a one-sided knob segment.
 //
 // Rule engine: additive-increase of the steal chunk on sustained steal
 // failure; on sustained fleet imbalance, steal-half plus an opened chunk
@@ -39,7 +32,7 @@
 // hysteresis against oscillation.
 //
 // Determinism: under the sim backend, local epochs fire at virtual-time
-// deadlines inside the scheduling loop, the digest/targets are produced
+// deadlines inside the scheduling loop, the digest is produced
 // by the monitor's deterministic virtual-time sampler, and the engine is
 // a pure integer/double state machine -- so the full decision sequence is
 // bit-deterministic across reruns. Under the threads backend every
@@ -47,13 +40,12 @@
 // (TSan-clean, not deterministic).
 //
 // Composition with faults: a controller never retunes a fenced or dead
-// rank (the global planner skips non-alive ranks; a local controller
-// checks its own liveness before deciding), and a ward that adopts a
+// rank (it checks its own liveness before deciding), and a ward that adopts a
 // dead rank's queue inherits the victim's last *published* knobs --
 // published rows outlive the owner precisely so adoption can read them.
 //
 // Gating (same discipline as trace/ and metrics/): nothing happens until
-// start(); armed by SCIOTO_CONTROLLER=off|local|global (+
+// start(); armed by SCIOTO_CONTROLLER=off|local (+
 // SCIOTO_CTL_PERIOD, SCIOTO_CTL_RULES) or the scioto_ctl_* C API. A
 // disarmed scheduler hook costs one inline relaxed load.
 #pragma once
@@ -74,7 +66,7 @@ namespace detail {
 inline std::atomic<bool> g_active{false};
 }  // namespace detail
 
-enum class Mode : int { Off, Local, Global };
+enum class Mode : int { Off, Local };
 
 const char* mode_name(Mode m);
 bool mode_from_name(const std::string& s, Mode* out);
@@ -131,8 +123,7 @@ enum Reason : int {
   kReasonHighCov = 1,    // sustained fleet imbalance
   kReasonCalm = 2,       // sustained balance + steal success
   kReasonBusy = 3,       // sustained lock-busy bounces
-  kReasonTarget = 4,     // applied a global-controller target
-  kReasonInherit = 5,    // adopted a dead rank's published knobs
+  kReasonInherit = 4,    // adopted a dead rank's published knobs
 };
 const char* reason_name(int r);
 
@@ -180,9 +171,9 @@ inline bool active() {
 Mode mode();
 TimeNs period();
 
-/// Allocates the per-rank rows (published knobs, targets, engine state)
-/// and begins controlling. With Mode::Global also installs the planner
-/// hook into the fleet monitor (metrics/monitor.hpp).
+/// Allocates the per-rank rows (published knobs, engine state), installs
+/// the digest hook into the fleet monitor (metrics/monitor.hpp), and
+/// begins controlling.
 void start(int nranks, const Config& cfg);
 void stop();
 
@@ -192,13 +183,12 @@ void stop();
 void attach(Rank r, KnobSet* knobs);
 void detach(Rank r);
 
-/// Cheap per-iteration check: is a controller epoch (local) or an
-/// unapplied target version (global) pending for rank r?
+/// Cheap per-iteration check: is a controller epoch due for rank r?
 bool poll_due(Rank r, TimeNs now);
 
-/// Runs the due work found by poll_due: local = evaluate the rule engine
-/// over this epoch's signals and apply; global = apply the published
-/// targets. Never retunes a rank the detector considers fenced/dead.
+/// Runs a due epoch: evaluates the rule engine over this epoch's signals
+/// and applies its decisions. Never retunes a rank the detector considers
+/// fenced/dead.
 void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth);
 
 /// Ward-side adoption: rank `me` inherits dead rank `dead`'s last
@@ -207,7 +197,7 @@ void inherit(Rank me, Rank dead);
 
 /// Re-copies rank r's attached KnobSet into its published row. Called by
 /// TaskCollection::set_knob after a direct (C API) knob write so the
-/// dashboard, the planner, and future wards see the new values.
+/// dashboard and future wards see the new values.
 void republish(Rank r);
 
 // ---- Cross-rank reads ----
@@ -234,7 +224,6 @@ struct DecisionRecord {
   Knob knob = Knob::StealChunk;
   std::int64_t value = 0;
   int reason = 0;
-  bool planner = false;  // true: global planner target; false: owner apply
 };
 
 std::vector<DecisionRecord> decisions();
@@ -243,7 +232,6 @@ std::string decisions_jsonl();
 struct Stats {
   std::uint64_t epochs = 0;             // local epochs evaluated
   std::uint64_t decisions = 0;          // knob changes applied by owners
-  std::uint64_t targets_published = 0;  // target rows written by the planner
   std::uint64_t inherits = 0;           // adoption-time knob inheritances
 };
 Stats stats();

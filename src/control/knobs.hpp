@@ -14,9 +14,9 @@
 // ever read or written from that rank's execution context -- the owner
 // pops/releases from its own queue, and a *thief* consults its own
 // KnobSet (steal width is a thief-side policy). Cross-rank visibility
-// (the global controller's targets, ward inheritance after a kill, the
-// dashboard) goes through the control session's published rows
-// (control.hpp), never through another rank's KnobSet. That keeps the
+// (ward inheritance after a kill, the dashboard) goes through the control
+// session's published rows (control.hpp), never through another rank's
+// KnobSet. That keeps the
 // hot-path reads plain loads: no atomics, no fences, trivially TSan-clean.
 //
 // Every set() clamps to per-knob bounds fixed at init. The steal-chunk
@@ -33,7 +33,8 @@ namespace scioto::control {
 enum class Knob : int {
   StealChunk,        // max tasks moved per steal / release / reacquire
   StealHalf,         // 0/1: steal half of the visible shared portion
-  RetargetBudget,    // extra victims tried after an aborting-steal bounce
+  RetargetBudget,    // extra victims tried after a kStealBusy bounce
+                     // (QueueMode::Aborting)
   ReleaseThreshold,  // min private depth before releasing work to thieves
   VictimSetSize,     // 0 = any victim; k>0 = only the next k ranks in
                      // ring order (restricted victim set)
@@ -42,8 +43,8 @@ enum class Knob : int {
 
 inline constexpr int kNumKnobs = static_cast<int>(Knob::kCount);
 
-/// Initial retarget budget: victims re-picked after an aborting steal
-/// bounces before the thief gives the round up.
+/// Initial retarget budget: victims re-picked after a QueueMode::Aborting
+/// steal bounces before the thief gives the round up.
 inline constexpr int kDefaultRetargetBudget = 4;
 
 inline const char* knob_name(Knob k) {

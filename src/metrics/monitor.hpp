@@ -102,9 +102,8 @@ void monitor_set_growth(
 /// Installs a hook invoked with every FleetSample right after it is
 /// computed (before it is appended to the series), from the sampler's
 /// context. This is how the control plane (src/control) observes the
-/// fleet without the monitor linking upward: the local controllers read
-/// the digest the hook publishes, and the global controller *is* the
-/// hook. Survives monitor_stop/start; pass nullptr to uninstall.
+/// fleet without the monitor linking upward: the per-rank controllers
+/// read the digest the hook publishes. Survives monitor_stop/start; pass nullptr to uninstall.
 void monitor_set_sample_hook(std::function<void(const FleetSample&)> fn);
 
 /// Installs a per-rank renderer for the live dashboard's knobs column

@@ -17,18 +17,36 @@ namespace {
 // fall out of lock-step instead of re-running the whole field each
 // round. ~ one NIC service slot on the calibrated cluster model.
 constexpr TimeNs kStealBackoffNs = 6000;
+
+// Display name and SCIOTO_QUEUE value of each mode. NoSplit has no
+// value: the variable picks a split queue's steal protocol.
+constexpr struct ModeName {
+  QueueMode mode;
+  const char* name;
+  const char* env;
+} kModeNames[] = {
+    {QueueMode::Split, "split", "locked"},
+    {QueueMode::NoSplit, "no-split", nullptr},
+    {QueueMode::LockFree, "lockfree", "lockfree"},
+    {QueueMode::Aborting, "aborting", "aborting"},
+};
 }  // namespace
 
 const char* queue_mode_name(QueueMode mode) {
-  switch (mode) {
-    case QueueMode::Split:
-      return "split";
-    case QueueMode::NoSplit:
-      return "no-split";
-    case QueueMode::LockFree:
-      return "lockfree";
+  for (const ModeName& m : kModeNames) {
+    if (m.mode == mode) return m.name;
   }
   return "?";
+}
+
+bool queue_mode_from_env(std::string_view name, QueueMode* out) {
+  for (const ModeName& m : kModeNames) {
+    if (m.env != nullptr && name == m.env) {
+      *out = m.mode;
+      return true;
+    }
+  }
+  return false;
 }
 
 SplitQueue::SplitQueue(pgas::Runtime& rt, Config cfg)
@@ -338,42 +356,6 @@ bool SplitQueue::pop_local(std::byte* out) {
   return true;
 }
 
-std::uint64_t SplitQueue::lower_split_validated() {
-  // Publish the lowered split with one seq_cst store, then validate that no
-  // in-flight thief can overrun it. Locked thieves serialize on the lock
-  // and publish steal_head seq_cst; lockfree thieves load top, then split,
-  // both seq_cst (see steal_from_lockfree). Either way at most ONE thief's
-  // advance can be missing from the validation load -- any earlier one is
-  // ordered before it -- and that advance is bounded by chunk_max, not the
-  // live chunk: the in-flight thief steals at its OWN live width, which we
-  // cannot see but which its KnobSet clamps to the collective chunk_max.
-  // The margin check makes that single unpublished chunk safe.
-  Rank me = rt_.me();
-  Ctl& c = ctl(me);
-  const auto margin = static_cast<std::uint64_t>(chunk_max_);
-  std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
-  std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-  std::uint64_t avail = sp > sh ? sp - sh : 0;
-  if (avail < 2 * margin) {
-    return 0;
-  }
-  std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
-  std::uint64_t new_sp = sp - take;
-  c.split.store(new_sp, std::memory_order_seq_cst);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  std::uint64_t sh2 = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
-  if (sh2 + margin > new_sp) {
-    // Thieves drained the margin under us. Raising split back is always
-    // safe (it is exactly a release); the caller takes its slow path.
-    c.split.store(sp, std::memory_order_seq_cst);
-    return 0;
-  }
-  // One local atomic publish instead of a lock round trip.
-  rt_.atomic_publish_charge();
-  return note_reacquire(/*fast=*/true, take,
-                        c.priv_tail.load(std::memory_order_relaxed) - sh2);
-}
-
 std::uint64_t SplitQueue::note_reacquire(bool fast, std::uint64_t take,
                                          std::uint64_t depth) {
   counters().reacquires++;
@@ -401,8 +383,37 @@ std::uint64_t SplitQueue::reacquire() {
     // back to self-stealing through the CAS, i.e. the standard Chase-Lev
     // "owner CASes top" arbitration: exactly one of owner and thief wins
     // each contested task.
-    if (std::uint64_t take = lower_split_validated()) {
-      return take;
+    //
+    // Validated publish: store the lowered split seq_cst, then check that
+    // no in-flight thief can overrun it. Thieves load top, then split,
+    // both seq_cst, and publish with a seq_cst CAS (see
+    // steal_from_lockfree), so at most ONE thief's advance can be missing
+    // from the validation load -- any earlier one is ordered before it --
+    // and that advance is bounded by chunk_max, not the live chunk: the
+    // in-flight thief steals at its OWN live width, which we cannot see
+    // but which its KnobSet clamps to the collective chunk_max. The
+    // margin check makes that single unpublished chunk safe.
+    const auto margin = static_cast<std::uint64_t>(chunk_max_);
+    std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_seq_cst));
+    std::uint64_t sp = c.split.load(std::memory_order_relaxed);
+    std::uint64_t avail = sp > sh ? sp - sh : 0;
+    if (avail >= 2 * margin) {
+      std::uint64_t take = avail - avail / 2;  // ceil(avail / 2)
+      std::uint64_t new_sp = sp - take;
+      c.split.store(new_sp, std::memory_order_seq_cst);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      std::uint64_t sh2 =
+          sh_idx(c.steal_head.load(std::memory_order_seq_cst));
+      if (sh2 + margin <= new_sp) {
+        // One local atomic publish instead of a lock round trip.
+        rt_.atomic_publish_charge();
+        return note_reacquire(
+            /*fast=*/true, take,
+            c.priv_tail.load(std::memory_order_relaxed) - sh2);
+      }
+      // Thieves drained the margin under us. Raising split back is
+      // always safe (it is exactly a release); self-steal instead.
+      c.split.store(sp, std::memory_order_seq_cst);
     }
     std::byte* buf = reacquire_buf_.data();
     int got = steal_from_lockfree(me, buf);
@@ -420,14 +431,6 @@ std::uint64_t SplitQueue::reacquire() {
                           c.priv_tail.load(std::memory_order_relaxed) -
                               sh_idx(c.steal_head.load(
                                   std::memory_order_relaxed)));
-  }
-  // Fault mode forces the locked path (as it forces locked steals): the
-  // lock-light split publish cannot observe an adoption fence, so a
-  // falsely-suspected owner could resurrect adopted work.
-  if (cfg_.owner_fastpath && !ft_) {
-    if (std::uint64_t take = lower_split_validated()) {
-      return take;
-    }
   }
   // Lowering `split` races in-flight steals, so it needs the lock.
   rt_.lock(locks_, me);
@@ -561,10 +564,10 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
   // round trip (this is what keeps the paper's remote ops near 5 one-way
   // latencies).
   Rank me = rt_.me();
-  if (cfg_.aborting_steals) {
-    // Aborting steal: a held lock means another thief (or the owner) is in
-    // the critical section; re-targeting beats convoying on it. trylock
-    // costs one round trip either way; nothing on the victim changed.
+  if (cfg_.mode == QueueMode::Aborting) {
+    // A held lock means another thief (or the owner) is in the critical
+    // section; re-targeting beats convoying on it. trylock costs one
+    // round trip either way; nothing on the victim changed.
     if (!rt_.trylock(locks_, victim)) {
       counters().steals_lock_busy++;
       SCIOTO_TRACE_EVENT(me, trace::Ev::StealBusy, victim, 0, 0);
@@ -575,13 +578,11 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
     rt_.lock(locks_, victim);
   }
   Ctl& c = ctl(victim);
-  // seq_cst (rather than acquire) on the index handshake so the owner's
-  // lock-free fast-path reacquire can validate against in-flight thieves;
-  // same instruction on x86 loads, and no sim charge either way.
+  // The lock orders this handshake against every split lowering (the
+  // locked modes never lower the split without it), so the boundary is
+  // an acquire load; a raised split publishes with release.
   std::uint64_t sh = c.steal_head.load(std::memory_order_seq_cst);
-  std::uint64_t bd = cfg_.mode == QueueMode::NoSplit
-                         ? unfrozen(c.priv_tail.load(std::memory_order_acquire))
-                         : c.split.load(std::memory_order_seq_cst);
+  std::uint64_t bd = steal_boundary(c);
   std::uint64_t avail = bd > sh ? bd - sh : 0;
   std::uint64_t n = steal_width(avail);
   if (ft_ && n > 0 && victim != me) {
@@ -600,16 +601,9 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
     rt_.unlock(locks_, victim);
     return 0;
   }
-  // The ring->buffer copy itself must happen under the lock: the moment
-  // steal_head moves, a remote add may reuse the slot just below it. What
-  // deferred_steal_copy moves past the unlock is the chunk's *wire time*
-  // (the RMA charge) -- the model of a one-sided get whose bulk payload
-  // streams while the victim's lock is already free.
-  if (cfg_.deferred_steal_copy) {
-    copy_span_raw(victim, sh, n, out);
-  } else {
-    copy_out_span(victim, sh, n, out);
-  }
+  // The ring->buffer copy must happen under the lock: the moment
+  // steal_head moves, a remote add may reuse the slot just below it.
+  copy_out_span(victim, sh, n, out);
   if (ft_ && victim != me) {
     // Log the in-flight chunk victim-side before releasing the lock: if we
     // die before requeue+commit, the victim (or its ward) replays it from
@@ -624,9 +618,6 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
   }
   c.steal_head.store(sh + n, std::memory_order_seq_cst);
   rt_.unlock(locks_, victim);
-  if (cfg_.deferred_steal_copy) {
-    rt_.rma_charge(victim, n * cfg_.slot_bytes);
-  }
   return static_cast<int>(n);
 }
 

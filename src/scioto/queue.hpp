@@ -28,6 +28,10 @@
 //   one region, every operation -- including the owner's local push/pop --
 //   takes the lock. Figure 7 measures the collapse this causes.
 //
+// * Aborting (a §8 contention-avoiding variant): Split, except that a
+//   thief trylocks the victim and on a held lock returns kStealBusy
+//   untouched, so the caller re-targets instead of convoying.
+//
 // * LockFree (Chase-Lev top/bottom on the shared portion; the paper's §8
 //   future-work item): thieves claim chunks with a single CAS on
 //   steal_head ("top") and never block, so no thief ever waits behind
@@ -66,6 +70,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string_view>
 
 #include "control/knobs.hpp"
 #include "metrics/metrics.hpp"
@@ -77,9 +82,15 @@ enum class QueueMode {
   Split,     // §5: lock-free private portion + locked shared portion
   NoSplit,   // original fully locked queue (Figure 7 ablation)
   LockFree,  // §8 / Chase-Lev: CAS steals + tagged ABA-safe adds + live split
+  Aborting,  // Split with trylock steals that bounce (kStealBusy) off a
+             // held lock
 };
 
 const char* queue_mode_name(QueueMode mode);
+/// Maps a SCIOTO_QUEUE value onto the split queue's steal protocol:
+/// locked | aborting | lockfree -> Split | Aborting | LockFree. Returns
+/// false for any other name.
+bool queue_mode_from_env(std::string_view name, QueueMode* out);
 
 class SplitQueue {
  public:
@@ -111,31 +122,16 @@ class SplitQueue {
     /// shared portion has fewer than `chunk` tasks (0 = always eligible).
     /// Initial value of the live release_threshold knob.
     std::uint64_t release_threshold = 2 * 10;
-    /// Aborting steals: thieves trylock the victim and return kStealBusy
-    /// instead of convoying on a held lock (caller re-targets). Split and
-    /// NoSplit modes only; lockfree steals never block to begin with.
-    bool aborting_steals = false;
     /// Steal-half adaptive chunking: a steal takes
     /// min(ceil(shared_depth / 2), chunk) tasks instead of the fixed
     /// `chunk`, so a deep victim sheds half its exposed work in one get
     /// while a nearly-dry one is not stripped bare. Initial value of the
     /// live steal_half knob.
     bool adaptive_chunk = false;
-    /// Lock-light owner fast path: when the shared portion is deep enough
-    /// that no in-flight thief can overrun it, reacquire() lowers `split`
-    /// with a single validated seq_cst publish instead of taking the lock
-    /// (falling back to the locked path when the margin is thin).
-    bool owner_fastpath = false;
-    /// Shrinks the steal critical section: the chunk's wire time (its RMA
-    /// charge) is paid after the victim's lock is released, modelling a
-    /// get whose bulk data streams while the lock is already free. The
-    /// ring->buffer copy itself stays under the lock (remote adds reuse
-    /// slots just below steal_head immediately after it moves).
-    bool deferred_steal_copy = false;
   };
 
-  /// steal_from() result when aborting_steals is set and the victim's lock
-  /// was held: nothing was transferred and the victim's queue state is
+  /// steal_from() result in Aborting mode when the victim's lock was
+  /// held: nothing was transferred and the victim's queue state is
   /// untouched; the caller should back off and pick another victim.
   static constexpr int kStealBusy = -1;
 
@@ -154,9 +150,9 @@ class SplitQueue {
     std::uint64_t steals_aborted = 0;   // fault-truncated to zero tasks
     std::uint64_t tasks_recovered = 0;  // replayed txns + adopted queues
     std::uint64_t commit_retries = 0;   // dropped commit writes retried
-    std::uint64_t steals_lock_busy = 0;  // aborting steals: victim lock held
+    std::uint64_t steals_lock_busy = 0;  // Aborting mode: victim lock held
     std::uint64_t owner_lock_acqs = 0;   // owner took its own queue's lock
-    std::uint64_t reacquires_fast = 0;   // lock-free fast-path reacquires
+    std::uint64_t reacquires_fast = 0;   // LockFree validated publishes
   };
 
   /// Collective: allocates the queue segment and its lock set.
@@ -173,10 +169,10 @@ class SplitQueue {
   /// Pops the newest private task (LIFO). Returns false if the private
   /// portion is empty (shared tasks need reacquire()).
   bool pop_local(std::byte* out);
-  /// Moves up to half of the shared portion back to private (Split mode
-  /// lowers the split under the lock; LockFree publishes the lowered split
-  /// when the shared portion is deep, else self-steals through the CAS
-  /// path and re-pushes). Returns the number of tasks reclaimed.
+  /// Moves up to half of the shared portion back to private (the locked
+  /// modes lower the split under the lock; LockFree publishes the lowered
+  /// split when the shared portion is deep, else self-steals through the
+  /// CAS path and re-pushes). Returns the number of tasks reclaimed.
   std::uint64_t reacquire();
   /// Donates oldest private tasks to the shared portion when the release
   /// policy triggers. Returns tasks released.
@@ -192,7 +188,7 @@ class SplitQueue {
   std::uint64_t peek_shared(Rank victim);
   /// Steals up to cfg.chunk tasks from the victim's shared portion into
   /// `out` (which must hold chunk * slot_bytes). Returns tasks stolen, or
-  /// kStealBusy when aborting_steals is set and the victim's lock was held.
+  /// kStealBusy in Aborting mode when the victim's lock was held.
   int steal_from(Rank victim, std::byte* out);
   /// Adds one descriptor to `target`'s shared end.
   /// Returns false if the target queue is full.
@@ -361,7 +357,7 @@ class SplitQueue {
   void copy_out_span(Rank victim, std::uint64_t first, std::uint64_t count,
                      std::byte* out);
   /// The raw two-segment ring copy of copy_out_span without its RMA
-  /// charge (deferred_steal_copy pays the wire time after unlock).
+  /// charge (victim-local copies: the fault-mode txn log, snapshots).
   void copy_span_raw(Rank victim, std::uint64_t first, std::uint64_t count,
                      std::byte* out);
   int live_chunk() const {
@@ -397,15 +393,8 @@ class SplitQueue {
   /// with a CAS that bumps the steal_head tag -- the ABA fence the
   /// unlocked thief claims rely on.
   bool add_remote_lockfree(Rank target, const std::byte* task);
-  /// Lock-light split lowering shared by Split mode's owner fast path and
-  /// LockFree's deep reacquire: when the shared portion holds at least
-  /// 2 * chunk_max tasks, publish split - ceil(avail / 2) with one seq_cst
-  /// store and validate that no in-flight thief can overrun it. Returns
-  /// the tasks privatized, or 0 (split restored) when the margin was too
-  /// thin and the caller must take its mode's slow path.
-  std::uint64_t lower_split_validated();
   /// Counts, traces and meters one reacquire of `take` tasks (`fast`: by
-  /// the validated publish); returns take.
+  /// LockFree's validated split publish); returns take.
   std::uint64_t note_reacquire(bool fast, std::uint64_t take,
                                std::uint64_t depth);
   /// Telemetry: record an owner-op latency sample (t0 taken at op entry)
@@ -429,7 +418,7 @@ class SplitQueue {
   control::KnobSet knobs_;
   /// Normalized cfg_.chunk_max (>= chunk). Everything sized at
   /// construction -- buffers, txn log, internal capacity headroom, the
-  /// owner-fastpath margin -- uses this bound, never the live chunk.
+  /// validated-publish margin -- uses this bound, never the live chunk.
   int chunk_max_ = 0;
   /// Internal capacity adds headroom so concurrent remote adds (bounded by
   /// nranks) cannot overflow between an owner's stale capacity check and

@@ -510,7 +510,6 @@ void scioto_ctl_stats_get(scioto_ctl_stats_t* out) {
   scioto::control::Stats s = scioto::control::stats();
   out->epochs = s.epochs;
   out->decisions = s.decisions;
-  out->targets_published = s.targets_published;
   out->inherits = s.inherits;
 }
 

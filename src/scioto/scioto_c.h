@@ -86,7 +86,7 @@ void tc_reset(tc_t tc);
 /// last tc_process().
 void tc_stats_get(tc_t tc, scioto_stats_t* out);
 /// Effective steal protocol of this collection after the SCIOTO_QUEUE env
-/// override ("split", "no-split", or "lockfree"); static
+/// override ("split", "no-split", "aborting", or "lockfree"); static
 /// storage, valid for the process lifetime.
 const char* tc_queue_mode(tc_t tc);
 
@@ -263,14 +263,14 @@ int scioto_metrics_read_rank(int rank, const char* name, uint64_t* value);
  * The feedback controller that closes the metrics -> knobs loop online:
  * per-rank live tuning parameters (steal chunk, steal-half, retarget
  * budget, release threshold, victim set) retuned from telemetry by a
- * hysteresis rule engine, either per rank ("local") or by the fleet
- * monitor ("global"). Staged like the detector and metrics knobs:
+ * hysteresis rule engine that each rank runs on itself ("local"). Staged
+ * like the detector and metrics knobs:
  * scioto_ctl_mode_set() arms a session inside the next SPMD run (the
  * SCIOTO_CONTROLLER / SCIOTO_CTL_PERIOD / SCIOTO_CTL_RULES environment
  * knobs override it). The tc_knob_* calls below work with or without an
  * armed controller -- they poke the live KnobSet directly. */
 
-/// Staged controller mode: "off", "local", or "global".
+/// Staged controller mode: "off" or "local".
 const char* scioto_ctl_mode(void);
 /// Stages the mode for the next SPMD run. Returns 0, or -1 on an unknown
 /// mode name (nothing staged).
@@ -293,7 +293,6 @@ int scioto_ctl_rules_set(const char* spec, char* errbuf, int errbuf_len);
 typedef struct scioto_ctl_stats {
   uint64_t epochs;             /* local decision epochs executed */
   uint64_t decisions;          /* knob changes applied (all ranks) */
-  uint64_t targets_published;  /* global-planner target rows written */
   uint64_t inherits;           /* knob rows adopted from dead ranks */
 } scioto_ctl_stats_t;
 

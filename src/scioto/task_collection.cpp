@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <string_view>
 #include <thread>
 
 #include "base/log.hpp"
@@ -231,8 +230,8 @@ Table tc_stats_table(const TcStats& s) {
     add_u64("op_retries", s.op_retries);
     add_u64("td_resplices", s.td_resplices);
   }
-  // Adaptive steal engine rows appear only when one of the knobs was on,
-  // so default-config tables are unchanged.
+  // Steal-protocol rows appear only when an aborting or lockfree run
+  // left a trace in them, so default-config tables are unchanged.
   if (s.steals_lock_busy != 0 || s.steal_retargets != 0 ||
       s.reacquires_fast != 0) {
     add_u64("steals_lock_busy", s.steals_lock_busy);
@@ -266,25 +265,18 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
   SCIOTO_REQUIRE(cfg_.max_task_body >= 0, "negative max_task_body");
   SCIOTO_REQUIRE(cfg_.chunk_size >= 1, "chunk_size must be >= 1");
   SCIOTO_REQUIRE(cfg_.max_tasks_per_rank >= 2, "max_tasks_per_rank too small");
-  // SCIOTO_QUEUE=locked|aborting|lockfree selects the steal protocol at
-  // construction time (collectively uniform: every rank reads the same
-  // environment). It overrides the configured mode so existing programs
-  // can A/B the lock-free path without a rebuild.
-  if (const char* qm = std::getenv("SCIOTO_QUEUE")) {
-    const std::string_view v(qm);
-    if (v == "locked") {
-      cfg_.queue_mode = QueueMode::Split;
-      cfg_.aborting_steals = false;
-    } else if (v == "aborting") {
-      cfg_.queue_mode = QueueMode::Split;
-      cfg_.aborting_steals = true;
-    } else if (v == "lockfree") {
-      cfg_.queue_mode = QueueMode::LockFree;
-      cfg_.aborting_steals = false;  // CAS steals never block on a lock
-    } else if (!v.empty()) {
-      SCIOTO_REQUIRE(false, "SCIOTO_QUEUE: unknown mode '"
-                                << qm
-                                << "' (expected locked|aborting|lockfree)");
+  // SCIOTO_QUEUE=locked|aborting|lockfree selects a split queue's steal
+  // protocol at construction time (collectively uniform: every rank reads
+  // the same environment), so existing programs can A/B the protocols
+  // without a rebuild. A NoSplit queue has no split to steal from and
+  // keeps its mode: Figure 7's No-Split column stays the locked queue.
+  if (const char* qm = std::getenv("SCIOTO_QUEUE"); qm && *qm != '\0') {
+    QueueMode m = QueueMode::Split;
+    SCIOTO_REQUIRE(queue_mode_from_env(qm, &m),
+                   "SCIOTO_QUEUE: unknown mode '"
+                       << qm << "' (expected locked|aborting|lockfree)");
+    if (cfg_.queue_mode != QueueMode::NoSplit) {
+      cfg_.queue_mode = m;
     }
   }
   if (cfg_.chunk_max == 0) {
@@ -321,10 +313,7 @@ TaskCollection::TaskCollection(pgas::Runtime& rt, TcConfig cfg)
       cfg_.release_threshold != 0
           ? cfg_.release_threshold
           : 2 * static_cast<std::uint64_t>(cfg_.chunk_size);
-  qc.aborting_steals = cfg_.aborting_steals;
   qc.adaptive_chunk = cfg_.adaptive_steal;
-  qc.owner_fastpath = cfg_.owner_fastpath;
-  qc.deferred_steal_copy = cfg_.deferred_steal_copy;
   // The queue seeds its live KnobSet from these values; from here on the
   // queue and the steal path read through it, so set_knob (and the
   // controller) retune a running collection.
@@ -676,8 +665,8 @@ TaskCollection::Pumped TaskCollection::pump(Phase& ph) {
   if (SCIOTO_METRICS_ON()) {
     metrics::monitor_poll(rt_.me(), rt_.now());
   }
-  // Control pump: when a controller is armed, run a local decision epoch
-  // (or apply the global planner's pending targets) at period boundaries.
+  // Control pump: when a controller is armed, run a decision epoch at
+  // period boundaries.
   // Charge-free and virtual-time driven, so controller-off runs trace
   // byte-identically.
   if (control::active() && control::poll_due(rt_.me(), rt_.now())) {

@@ -47,11 +47,11 @@ struct TcConfig {
   int chunk_max = 0;
   /// Per-rank queue capacity in tasks (the paper's max_sz).
   std::int64_t max_tasks_per_rank = 1 << 16;
-  /// Queue variant: Split (the paper's design), NoSplit (the original
-  /// fully locked queue, Figure 7's ablation), or LockFree (the §8
-  /// lock-free steal path: Chase-Lev CAS steals with the split machinery
-  /// live). Overridable at construction by the SCIOTO_QUEUE env knob
-  /// (locked | aborting | lockfree).
+  /// Queue variant and steal protocol (see QueueMode; Split is the
+  /// paper's design). The SCIOTO_QUEUE env knob (locked | aborting |
+  /// lockfree) overrides a split queue's protocol at construction; an
+  /// explicit NoSplit stays. Aborting thieves re-target up to the live
+  /// retarget_budget knob's count of victims per steal round.
   QueueMode queue_mode = QueueMode::Split;
   /// §5.3 token-coloring optimization.
   bool color_optimization = true;
@@ -64,22 +64,10 @@ struct TcConfig {
   /// the machine model has cores_per_node > 1. 0 = the paper's uniform
   /// victim selection.
   double node_steal_bias = 0.0;
-  /// Aborting steals: a thief trylocks its victim and, when the lock is
-  /// held, immediately re-targets a different victim after a short seeded
-  /// backoff instead of convoying on the lock (up to the live
-  /// retarget_budget knob's count of victims per round).
-  bool aborting_steals = false;
   /// Steal-half adaptive chunking: steals take min(ceil(depth/2),
   /// chunk_size) tasks based on the victim's shared depth instead of the
-  /// fixed chunk_size.
+  /// fixed chunk_size. Initial value of the live steal_half knob.
   bool adaptive_steal = false;
-  /// Lock-light owner fast path: split-pointer reacquires become a single
-  /// validated atomic publish when the shared portion is deep enough; the
-  /// owner takes its own lock only when it is nearly empty.
-  bool owner_fastpath = false;
-  /// Pay the stolen chunk's wire time after the victim's lock is released
-  /// (shrinks the steal critical section to pointer updates + txn record).
-  bool deferred_steal_copy = false;
 };
 
 /// Aggregated execution statistics (per-rank, summable across ranks).
@@ -102,11 +90,11 @@ struct TcStats {
   std::uint64_t steals_aborted = 0;   // steals truncated to zero tasks
   std::uint64_t op_retries = 0;       // dropped commit/token sends retried
   std::uint64_t td_resplices = 0;     // spanning-tree reconfigurations
-  // Adaptive steal engine (all zero with the knobs off):
-  std::uint64_t steals_lock_busy = 0;  // aborting steals hit a held lock
-  std::uint64_t steal_retargets = 0;   // victims re-picked after an abort
+  // Steal-protocol detail:
+  std::uint64_t steals_lock_busy = 0;  // Aborting: steals hit a held lock
+  std::uint64_t steal_retargets = 0;   // Aborting: victims re-picked
   std::uint64_t owner_lock_acqs = 0;   // owner took its own queue's lock
-  std::uint64_t reacquires_fast = 0;   // lock-free fast-path reacquires
+  std::uint64_t reacquires_fast = 0;   // LockFree validated publishes
   TimeNs time_total = 0;
   TimeNs time_working = 0;   // executing task callbacks
   TimeNs time_searching = 0; // stealing + termination detection

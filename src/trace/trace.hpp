@@ -74,7 +74,7 @@ enum class Ev : std::uint8_t {
   TreeRespliced,  // a=epoch, b=alive rank count after the resplice
   StealBusy,      // a=victim rank (aborting steal: lock held, no transfer)
   StealRetarget,  // a=busy victim, b=new victim, c=backoff charged (ns)
-  ReacquireFast,  // a=tasks reacquired via the lock-free owner fast path
+  ReacquireFast,  // a=tasks reacquired via LockFree's validated split publish
   Suspect,        // a=suspected rank, c=silence observed so far (ns)
   Refute,         // a=formerly-suspected rank (its heartbeat advanced)
   ConfirmDead,    // a=confirmed-dead rank, c=silence at confirmation (ns)

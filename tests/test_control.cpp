@@ -463,9 +463,9 @@ struct CtlRun {
   control::Stats stats;
 };
 
-CtlRun run_uts_ctl(control::Mode mode, std::uint64_t seed,
+CtlRun run_uts_ctl(std::uint64_t seed,
                    pgas::BackendKind backend = pgas::BackendKind::Sim) {
-  CtlGuard guard(mode, /*period=*/50'000);
+  CtlGuard guard(control::Mode::Local, /*period=*/50'000);
   apps::UtsParams tree = bursty_tree();
   CtlRun out;
   run(8, backend,
@@ -486,8 +486,8 @@ TEST(CtlUts, LocalControllerExactAndDeterministicOverEightSeeds) {
   const apps::UtsCounts expected = apps::uts_sequential(bursty_tree());
   std::uint64_t total_decisions = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    CtlRun a = run_uts_ctl(control::Mode::Local, seed);
-    CtlRun b = run_uts_ctl(control::Mode::Local, seed);
+    CtlRun a = run_uts_ctl(seed);
+    CtlRun b = run_uts_ctl(seed);
     EXPECT_TRUE(a.counts == expected) << "seed " << seed;
     // The full decision sequence -- every rank, every epoch, every knob
     // value, every virtual timestamp -- must replay bit-identically.
@@ -498,19 +498,6 @@ TEST(CtlUts, LocalControllerExactAndDeterministicOverEightSeeds) {
   // The root burst is exactly the imbalance the rules target: across
   // eight schedules the controller cannot have sat on its hands.
   EXPECT_GT(total_decisions, 0u);
-}
-
-TEST(CtlUts, GlobalControllerExactAndDeterministic) {
-  const apps::UtsCounts expected = apps::uts_sequential(bursty_tree());
-  std::uint64_t total_targets = 0;
-  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    CtlRun a = run_uts_ctl(control::Mode::Global, seed);
-    CtlRun b = run_uts_ctl(control::Mode::Global, seed);
-    EXPECT_TRUE(a.counts == expected) << "seed " << seed;
-    EXPECT_EQ(a.decisions, b.decisions) << "seed " << seed;
-    total_targets += a.stats.targets_published;
-  }
-  EXPECT_GT(total_targets, 0u);
 }
 
 // ---- Zero perturbation: a quiet controller leaves the trace untouched ----
@@ -631,10 +618,9 @@ TEST(CtlFaults, ControllerComposesWithDetectorKillRecovery) {
   dc.enabled = false;
   detect::set_config(dc);
   EXPECT_TRUE(counts == expected);
-  // No decision may postdate the kill on the dead rank's behalf as an
-  // owner apply (planner targets for it also stop once it is fenced).
+  // No decision may postdate the kill on the dead rank's behalf.
   for (const control::DecisionRecord& d : control::decisions()) {
-    if (d.rank == 2 && !d.planner) {
+    if (d.rank == 2) {
       EXPECT_LT(d.t, 500'000) << "dead rank 2 applied a knob change at t="
                               << d.t;
     }
@@ -682,13 +668,11 @@ TEST(CtlDigest, HotVictimsTracksDeepestAliveRanks) {
 
 // ---- Threads backend (wall-clock pacing; the TSan job runs these) ----
 
-class CtlThreads : public ::testing::TestWithParam<control::Mode> {};
-
-TEST_P(CtlThreads, UtsExactUnderThreadsBackend) {
+TEST(CtlThreads, UtsExactUnderThreadsBackend) {
   const apps::UtsParams tree = apps::uts_tiny();
   const apps::UtsCounts expected = apps::uts_sequential(tree);
   // A short wall-clock period so epochs actually fire inside a tiny run.
-  CtlGuard guard(GetParam(), /*period=*/100'000);
+  CtlGuard guard(control::Mode::Local, /*period=*/100'000);
   apps::UtsCounts counts;
   std::mutex mu;
   run_threads(4, [&](pgas::Runtime& rt) {
@@ -703,13 +687,6 @@ TEST_P(CtlThreads, UtsExactUnderThreadsBackend) {
   // under test is exactness plus TSan-cleanliness of the armed paths.
 }
 
-INSTANTIATE_TEST_SUITE_P(Placements, CtlThreads,
-                         ::testing::Values(control::Mode::Local,
-                                           control::Mode::Global),
-                         [](const auto& info) {
-                           return std::string(control::mode_name(info.param));
-                         });
-
 // ---- C API ----
 
 TEST(CtlCApi, ModePeriodRulesRoundTrip) {
@@ -718,6 +695,7 @@ TEST(CtlCApi, ModePeriodRulesRoundTrip) {
   EXPECT_STREQ(scioto_ctl_mode(), "local");
   EXPECT_EQ(scioto_ctl_mode_set("bogus"), -1);
   EXPECT_STREQ(scioto_ctl_mode(), "local") << "bad name must stage nothing";
+  EXPECT_EQ(scioto_ctl_mode_set("global"), -1) << "no fleet-planner mode";
   EXPECT_EQ(scioto_ctl_mode_set("off"), 0);
 
   int64_t period = scioto_ctl_period_ns();

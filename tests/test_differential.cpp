@@ -1,8 +1,8 @@
-// Differential test battery for the adaptive steal engine: the same
-// workloads run with every combination of the new steal knobs (aborting
-// steals, steal-half chunking, the owner fast path, deferred steal copy)
-// must produce results identical to the sequential oracle, on both the
-// simulated and the real-threads backend, across many scheduler seeds.
+// Differential test battery for the steal protocols: the same workloads
+// run under every {locked, aborting} x {fixed chunk, steal-half} steal
+// configuration, and under each SCIOTO_QUEUE protocol, must produce
+// results identical to the sequential oracle, on both the simulated and
+// the real-threads backend, across many scheduler seeds.
 //
 // Two workloads:
 //   * UTS tree traversal -- exact node/leaf/depth counts vs
@@ -33,24 +33,19 @@ using apps::UtsRunConfig;
 constexpr int kRanks = 4;
 constexpr int kSeeds = 8;
 
-/// One steal-engine configuration under test.
+/// One steal configuration under test.
 struct Knobs {
   const char* name;
-  bool aborting = false;
+  QueueMode mode = QueueMode::Split;
   bool adaptive = false;
-  bool fastpath = false;
-  bool deferred = false;
 };
 
-/// The {aborting on/off} x {adaptive on/off} grid the issue asks for,
-/// plus an everything-on row that also exercises the owner fast path and
-/// the deferred chunk copy.
+/// The {locked, aborting} x {fixed chunk, steal-half} grid.
 constexpr Knobs kGrid[] = {
-    {"baseline", false, false, false, false},
-    {"aborting", true, false, false, false},
-    {"adaptive", false, true, false, false},
-    {"aborting+adaptive", true, true, false, false},
-    {"all-on", true, true, true, true},
+    {"baseline", QueueMode::Split, false},
+    {"aborting", QueueMode::Aborting, false},
+    {"adaptive", QueueMode::Split, true},
+    {"aborting+adaptive", QueueMode::Aborting, true},
 };
 
 class DifferentialTest
@@ -71,10 +66,8 @@ TEST_P(DifferentialTest, UtsMatchesSequentialOracle) {
           [&](pgas::Runtime& rt) {
             UtsRunConfig cfg;
             cfg.chunk = 2;  // small chunks force steal traffic on a tiny tree
-            cfg.aborting_steals = k.aborting;
+            cfg.queue_mode = k.mode;
             cfg.adaptive_steal = k.adaptive;
-            cfg.owner_fastpath = k.fastpath;
-            cfg.deferred_steal_copy = k.deferred;
             auto res = apps::uts_run_scioto(rt, tree, cfg);
             if (rt.me() == 0) {
               got = res.counts;
@@ -93,13 +86,13 @@ TEST_P(DifferentialTest, UtsMatchesSequentialOracle) {
       // criterion.
       EXPECT_GT(stats.tasks_executed, 0u)
           << "knobs=" << k.name << " seed=" << seed;
-      if (!k.aborting) {
+      if (k.mode != QueueMode::Aborting) {
         EXPECT_EQ(stats.steals_lock_busy, 0u) << "knobs=" << k.name;
         EXPECT_EQ(stats.steal_retargets, 0u) << "knobs=" << k.name;
       }
-      if (!k.fastpath) {
-        EXPECT_EQ(stats.reacquires_fast, 0u) << "knobs=" << k.name;
-      }
+      // Only LockFree's reacquire publishes a validated split; the locked
+      // protocols always lower it under the owner's lock.
+      EXPECT_EQ(stats.reacquires_fast, 0u) << "knobs=" << k.name;
     }
   }
 }
@@ -121,10 +114,8 @@ TEST_P(DifferentialTest, UtsBinomialMatchesSequentialOracle) {
           [&](pgas::Runtime& rt) {
             UtsRunConfig cfg;
             cfg.chunk = 4;
-            cfg.aborting_steals = k.aborting;
+            cfg.queue_mode = k.mode;
             cfg.adaptive_steal = k.adaptive;
-            cfg.owner_fastpath = k.fastpath;
-            cfg.deferred_steal_copy = k.deferred;
             auto res = apps::uts_run_scioto(rt, tree, cfg);
             if (rt.me() == 0) got = res.counts;
           },
@@ -146,13 +137,12 @@ TEST_P(DifferentialTest, UtsBinomialMatchesSequentialOracle) {
 struct ModeRow {
   const char* name;
   QueueMode mode;
-  bool aborting;
 };
 
 constexpr ModeRow kModes[] = {
-    {"locked", QueueMode::Split, false},
-    {"aborting", QueueMode::Split, true},
-    {"lockfree", QueueMode::LockFree, false},
+    {"locked", QueueMode::Split},
+    {"aborting", QueueMode::Aborting},
+    {"lockfree", QueueMode::LockFree},
 };
 
 TEST_P(DifferentialTest, QueueModeMatrixMatchesSequentialOracle) {
@@ -171,7 +161,6 @@ TEST_P(DifferentialTest, QueueModeMatrixMatchesSequentialOracle) {
             UtsRunConfig cfg;
             cfg.chunk = 2;
             cfg.queue_mode = m.mode;
-            cfg.aborting_steals = m.aborting;
             auto res = apps::uts_run_scioto(rt, tree, cfg);
             if (rt.me() == 0) {
               got = res.counts;
@@ -182,12 +171,16 @@ TEST_P(DifferentialTest, QueueModeMatrixMatchesSequentialOracle) {
       EXPECT_EQ(got, expected) << "mode=" << m.name << " seed=" << seed;
       EXPECT_GT(stats.tasks_executed, 0u)
           << "mode=" << m.name << " seed=" << seed;
-      if (!m.aborting) {
+      if (m.mode != QueueMode::Aborting) {
         // Neither pure-locked nor lockfree ever bounces off a held lock:
         // the former convoys, the latter has no lock on the steal path.
         EXPECT_EQ(stats.steals_lock_busy, 0u)
             << "mode=" << m.name << " seed=" << seed;
         EXPECT_EQ(stats.steal_retargets, 0u)
+            << "mode=" << m.name << " seed=" << seed;
+      }
+      if (m.mode != QueueMode::LockFree) {
+        EXPECT_EQ(stats.reacquires_fast, 0u)
             << "mode=" << m.name << " seed=" << seed;
       }
     }
@@ -233,10 +226,8 @@ MmResult run_matmul(pgas::BackendKind kind, const Knobs& k,
         TcConfig tcc;
         tcc.max_task_body = sizeof(MmTask);
         tcc.chunk_size = 2;
-        tcc.aborting_steals = k.aborting;
+        tcc.queue_mode = k.mode;
         tcc.adaptive_steal = k.adaptive;
-        tcc.owner_fastpath = k.fastpath;
-        tcc.deferred_steal_copy = k.deferred;
         TaskCollection tc(rt, tcc);
 
         std::vector<double> abuf(bs * bs), bbuf(bs * bs), cbuf(bs * bs);

@@ -336,65 +336,6 @@ TEST(FaultRecovery, StealTruncationAbortsButStaysExact) {
   EXPECT_GE(res.stats.steals_aborted, 1u);
 }
 
-// ---- steal critical-section regression ----
-
-// A thief stalled inside the victim-lock critical section (the PR 2
-// lock-stall fault) used to hold the lock for the stolen chunk's full
-// wire time as well; with deferred_steal_copy the chunk's RMA charge is
-// paid after unlock, so the owner's blocked reacquire completes sooner by
-// exactly that wire time. Measured on the sim backend, where both runs
-// are deterministic and directly comparable.
-TimeNs measure_owner_reacquire_wait(bool deferred) {
-  constexpr TimeNs kStall = 200 * 1000;  // 200us stall inside the lock
-  fault::start(2, fault::FaultPlan::parse("stall:rank=1,dur=200us"), 42);
-  TimeNs wait = 0;
-  testing::run_sim(2, [&](Runtime& rt) {
-    SplitQueue::Config qc;
-    qc.slot_bytes = 256;  // big slots so the chunk's wire time is visible
-    qc.capacity = 1024;
-    qc.chunk = 10;
-    qc.mode = QueueMode::Split;
-    qc.deferred_steal_copy = deferred;
-    SplitQueue q(rt, qc);
-    std::vector<std::byte> slot(qc.slot_bytes, std::byte{0});
-    std::vector<std::byte> steal_buf(
-        static_cast<std::size_t>(qc.chunk) * qc.slot_bytes);
-    if (rt.me() == 0) {
-      for (int i = 0; i < 40; ++i) {
-        EXPECT_TRUE(q.push_local(slot.data(), kAffinityHigh));
-      }
-      EXPECT_EQ(q.release_maybe(), 20u);
-    }
-    rt.barrier();
-    if (rt.me() == 1) {
-      // First lock acquisition by rank 1 -> the stall rule fires while we
-      // are inside the victim's critical section.
-      EXPECT_EQ(q.steal_from(0, steal_buf.data()), qc.chunk);
-    } else {
-      // Give the thief a head start so it owns the lock, then try to
-      // reacquire: we queue behind the stalled thief.
-      rt.charge(5 * 1000);
-      TimeNs t0 = rt.now();
-      EXPECT_GT(q.reacquire(), 0u);
-      wait = rt.now() - t0;
-      EXPECT_GT(wait, kStall / 2);  // we really did block behind the stall
-    }
-    rt.barrier();
-    q.destroy();
-  });
-  fault::stop();
-  return wait;
-}
-
-TEST(FaultRecovery, DeferredStealCopyUnblocksOwnerReacquire) {
-  TimeNs blocking = measure_owner_reacquire_wait(/*deferred=*/false);
-  TimeNs deferred = measure_owner_reacquire_wait(/*deferred=*/true);
-  // The critical section no longer carries the 10-slot chunk's RMA
-  // charge, so the owner's wait must strictly shrink.
-  EXPECT_LT(deferred, blocking)
-      << "deferred=" << deferred << "ns blocking=" << blocking << "ns";
-}
-
 TEST(FaultRecovery, RecoveryCountersSurfaceInStats) {
   const apps::UtsParams tree = apps::uts_small();
   apps::UtsResult res = run_uts_with_faults(
@@ -425,12 +366,12 @@ TEST(FaultComposition, UnlockedStealModesRejectedAtInit) {
     // constructor under the session...
     ASSERT_EQ(setenv("SCIOTO_QUEUE", "lockfree", 1), 0);
     EXPECT_THROW(TaskCollection(rt, TcConfig{}), Error);
-    // ...and the locked protocols (with and without aborting steals)
-    // stay fully fault-composable.
+    // ...and the locked protocols (blocking and aborting) stay fully
+    // fault-composable.
     ASSERT_EQ(setenv("SCIOTO_QUEUE", "aborting", 1), 0);
     {
       TaskCollection tc(rt, TcConfig{});
-      EXPECT_STREQ(queue_mode_name(tc.queue_mode()), "split");
+      EXPECT_STREQ(queue_mode_name(tc.queue_mode()), "aborting");
       tc.destroy();
     }
     ASSERT_EQ(unsetenv("SCIOTO_QUEUE"), 0);

@@ -75,15 +75,13 @@ struct LineageRun {
 LineageRun run_traced_uts(std::uint64_t seed, pgas::BackendKind backend,
                           QueueMode mode = QueueMode::Split,
                           bool lineage = true,
-                          const std::string& fault_plan = "",
-                          bool aborting = false) {
+                          const std::string& fault_plan = "") {
   LineageRun out;
   out.nranks = 4;
   apps::UtsParams tree = apps::uts_small();
   apps::UtsRunConfig rc;
   rc.chunk = 4;
   rc.queue_mode = mode;
-  rc.aborting_steals = aborting;
   apps::UtsResult res;
   trace::start(out.nranks, /*capacity_per_rank=*/1 << 18);
   if (lineage) {
@@ -164,16 +162,14 @@ TEST(LineageHappensBefore, HoldsOnBothBackendsAndAllThreeStealPaths) {
   struct StealPath {
     const char* name;
     QueueMode mode;
-    bool aborting;
   };
-  const StealPath paths[] = {{"locked", QueueMode::Split, false},
-                             {"aborting", QueueMode::Split, true},
-                             {"lockfree", QueueMode::LockFree, false}};
+  const StealPath paths[] = {{"locked", QueueMode::Split},
+                             {"aborting", QueueMode::Aborting},
+                             {"lockfree", QueueMode::LockFree}};
   for (auto backend : {pgas::BackendKind::Sim, pgas::BackendKind::Threads}) {
     for (const StealPath& path : paths) {
       SCOPED_TRACE(testing::backend_name(backend) + "/" + path.name);
-      LineageRun run = run_traced_uts(21, backend, path.mode, true, "",
-                                      path.aborting);
+      LineageRun run = run_traced_uts(21, backend, path.mode);
       ASSERT_EQ(run.dropped, 0u);
       EXPECT_TRUE(run.rep.causal_order_ok())
           << "first violation: " << run.rep.violations.front();

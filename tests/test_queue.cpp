@@ -361,12 +361,14 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 4, 7),
                        ::testing::Values(1, 5, 16),
                        ::testing::Values(QueueMode::Split, QueueMode::NoSplit,
+                                         QueueMode::Aborting,
                                          QueueMode::LockFree)),
     [](const auto& info) {
       std::string mode;
       switch (std::get<3>(info.param)) {
         case QueueMode::Split: mode = "split"; break;
         case QueueMode::NoSplit: mode = "nosplit"; break;
+        case QueueMode::Aborting: mode = "aborting"; break;
         case QueueMode::LockFree: mode = "lockfree"; break;
       }
       return scioto::testing::backend_name(std::get<0>(info.param)) + "_p" +

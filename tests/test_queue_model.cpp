@@ -16,12 +16,12 @@
 // only four slots of advance -- wrap-around coverage is automatic, and a
 // phase-spin between sequences shifts the wrap point through the ring.
 //
-// Runs the enumeration over the steal-knob grid (adaptive chunking and
-// the owner fast path change which code paths move the split pointer, but
-// must never change the externally visible queue contents), and over the
-// Split and LockFree queue modes. The Chase-Lev LockFree mode has one
-// observable semantic difference the model tracks: when the shared
-// portion is thinner than the fast-path margin (2 * chunk_max),
+// Runs the enumeration with and without steal-half chunking (which
+// changes steal widths, but must never change the externally visible
+// queue contents), and over the Split, Aborting and LockFree queue modes.
+// The Chase-Lev LockFree mode has one observable semantic difference the
+// model tracks: when the shared portion is thinner than the
+// validated-publish margin (2 * chunk_max),
 // reacquire() self-steals through the thief CAS path, so the *oldest*
 // shared tasks come back as the *newest* private tasks instead of the
 // newest shared becoming the oldest private.
@@ -155,7 +155,7 @@ struct Model {
   }
 };
 
-SplitQueue::Config model_cfg(QueueMode mode, bool adaptive, bool fastpath) {
+SplitQueue::Config model_cfg(QueueMode mode, bool adaptive) {
   SplitQueue::Config c;
   c.slot_bytes = kSlot;
   c.capacity = kCapacity;
@@ -163,7 +163,6 @@ SplitQueue::Config model_cfg(QueueMode mode, bool adaptive, bool fastpath) {
   c.mode = mode;
   c.release_threshold = kThreshold;
   c.adaptive_chunk = adaptive;
-  c.owner_fastpath = fastpath;
   return c;
 }
 
@@ -297,10 +296,10 @@ void spin_phase(SplitQueue& q, int cycles, std::uint64_t* next_id) {
 
 /// Enumerates every op sequence of length `len` against one knob combo,
 /// starting each sequence at the given ring phase.
-void run_enumeration(QueueMode mode, bool adaptive, bool fastpath, int len,
+void run_enumeration(QueueMode mode, bool adaptive, int len,
                      int phase_cycles) {
   testing::run_sim(1, [&](Runtime& rt) {
-    SplitQueue q(rt, model_cfg(mode, adaptive, fastpath));
+    SplitQueue q(rt, model_cfg(mode, adaptive));
     std::uint64_t next_id = 1;
     long total = 1;
     for (int i = 0; i < len; ++i) total *= kNumOps;
@@ -330,33 +329,32 @@ void run_enumeration(QueueMode mode, bool adaptive, bool fastpath, int len,
 }
 
 TEST(QueueModel, ExhaustiveLength6Baseline) {
-  run_enumeration(QueueMode::Split, /*adaptive=*/false, /*fastpath=*/false,
-                  /*len=*/6, /*phase_cycles=*/0);
+  run_enumeration(QueueMode::Split, /*adaptive=*/false, /*len=*/6,
+                  /*phase_cycles=*/0);
 }
 
 TEST(QueueModel, ExhaustiveLength6AllKnobs) {
-  run_enumeration(QueueMode::Split, /*adaptive=*/true, /*fastpath=*/true,
-                  /*len=*/6, /*phase_cycles=*/1);
+  run_enumeration(QueueMode::Split, /*adaptive=*/true, /*len=*/6,
+                  /*phase_cycles=*/1);
 }
 
 TEST(QueueModel, ExhaustiveLength6LockFree) {
-  run_enumeration(QueueMode::LockFree, /*adaptive=*/false,
-                  /*fastpath=*/false, /*len=*/6, /*phase_cycles=*/0);
+  run_enumeration(QueueMode::LockFree, /*adaptive=*/false, /*len=*/6,
+                  /*phase_cycles=*/0);
 }
 
 TEST(QueueModel, ExhaustiveLength6LockFreeAdaptive) {
-  run_enumeration(QueueMode::LockFree, /*adaptive=*/true, /*fastpath=*/false,
-                  /*len=*/6, /*phase_cycles=*/1);
+  run_enumeration(QueueMode::LockFree, /*adaptive=*/true, /*len=*/6,
+                  /*phase_cycles=*/1);
 }
 
 TEST(QueueModel, ExhaustiveLength4AcrossKnobsAndPhases) {
-  for (QueueMode mode : {QueueMode::Split, QueueMode::LockFree}) {
+  for (QueueMode mode :
+       {QueueMode::Split, QueueMode::Aborting, QueueMode::LockFree}) {
     for (bool adaptive : {false, true}) {
-      for (bool fastpath : {false, true}) {
-        for (int phase : {0, 3, 5}) {
-          run_enumeration(mode, adaptive, fastpath, /*len=*/4, phase);
-          if (::testing::Test::HasFatalFailure()) return;
-        }
+      for (int phase : {0, 3, 5}) {
+        run_enumeration(mode, adaptive, /*len=*/4, phase);
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
   }
@@ -366,9 +364,10 @@ TEST(QueueModel, ExhaustiveLength4AcrossKnobsAndPhases) {
 // that the physical ring wraps hundreds of times; the model must track
 // every transition.
 TEST(QueueModel, RandomWalkLongWrap) {
-  for (QueueMode mode : {QueueMode::Split, QueueMode::LockFree}) {
+  for (QueueMode mode :
+       {QueueMode::Split, QueueMode::Aborting, QueueMode::LockFree}) {
     testing::run_sim(1, [&](Runtime& rt) {
-      SplitQueue q(rt, model_cfg(mode, /*adaptive=*/true, /*fastpath=*/true));
+      SplitQueue q(rt, model_cfg(mode, /*adaptive=*/true));
       Model m;
       std::multiset<std::uint64_t> removed;
       std::uint64_t next_id = 1, pushed = 0;

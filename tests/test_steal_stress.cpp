@@ -1,7 +1,6 @@
 // Steal-contention stress tests on the real-threads backend: one victim,
-// N-1 thieves hammering it with the full adaptive steal engine enabled
-// (steal-half chunking, owner fast path, and -- per steal protocol under
-// test -- blocking locked steals, aborting trylock steals, or the
+// N-1 thieves hammering it with steal-half chunking on, per steal protocol
+// under test (blocking locked steals, aborting trylock steals, or the
 // lockfree Chase-Lev CAS path). Runs under the CI TSan job (suite names
 // carry "Threads" for its filter).
 //
@@ -48,13 +47,12 @@ std::uint64_t slot_id(const std::byte* buf) {
 struct StressMode {
   const char* name;
   QueueMode mode;
-  bool aborting;
 };
 
 constexpr StressMode kStressModes[] = {
-    {"locked", QueueMode::Split, false},
-    {"aborting", QueueMode::Split, true},
-    {"lockfree", QueueMode::LockFree, false},
+    {"locked", QueueMode::Split},
+    {"aborting", QueueMode::Aborting},
+    {"lockfree", QueueMode::LockFree},
 };
 
 SplitQueue::Config stress_cfg(const StressMode& m) {
@@ -64,11 +62,7 @@ SplitQueue::Config stress_cfg(const StressMode& m) {
   c.chunk = 4;
   c.mode = m.mode;
   c.release_threshold = 4;
-  c.aborting_steals = m.aborting;
   c.adaptive_chunk = true;
-  c.owner_fastpath = true;
-  // The shrunken critical section only exists on the locked steal path.
-  c.deferred_steal_copy = m.mode == QueueMode::Split;
   return c;
 }
 
@@ -102,8 +96,8 @@ TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
 
     if (rt.me() == 0) {
       // Victim: produce kTasks, keep feeding the shared portion, consume
-      // part of the stream itself (pops + fast-path reacquires race the
-      // thieves the whole time).
+      // part of the stream itself (pops + reacquires race the thieves the
+      // whole time).
       for (std::uint64_t id = 1; id <= kTasks; ++id) {
         make_slot(buf, id);
         ASSERT_TRUE(q.push_local(buf, kAffinityHigh));
@@ -137,7 +131,7 @@ TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
           continue;
         }
         if (got == SplitQueue::kStealBusy) {
-          EXPECT_TRUE(GetParam().aborting)
+          EXPECT_EQ(GetParam().mode, QueueMode::Aborting)
               << "kStealBusy from a non-aborting steal protocol";
           ++busy;
           continue;
@@ -149,7 +143,7 @@ TEST_P(StealStressModeThreads, OneVictimManyThievesConservation) {
         rt.relax();
       }
       EXPECT_EQ(q.counters().steals_lock_busy, busy);
-      if (!GetParam().aborting) {
+      if (GetParam().mode != QueueMode::Aborting) {
         EXPECT_EQ(busy, 0u);
       }
     }

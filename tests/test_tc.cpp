@@ -507,9 +507,10 @@ TEST_P(TcBackends, DagCycleDetected) {
   });
 }
 
-// SCIOTO_QUEUE selects the steal protocol at construction, overriding
-// TcConfig; any other value fails the constructor with the accepted list.
-// "wait-free" names a protocol that was folded into lockfree.
+// SCIOTO_QUEUE selects a split queue's steal protocol at construction,
+// overriding TcConfig; any other value fails the constructor with the
+// accepted list. "wait-free" names a protocol that was folded into
+// lockfree.
 TEST(TcQueueEnv, SelectsStealProtocolOrRejectsAtConstruction) {
   struct EnvGuard {
     ~EnvGuard() { unsetenv("SCIOTO_QUEUE"); }
@@ -532,17 +533,15 @@ TEST(TcQueueEnv, SelectsStealProtocolOrRejectsAtConstruction) {
     ASSERT_EQ(setenv("SCIOTO_QUEUE", "locked", 1), 0);
     {
       TcConfig cfg = small_cfg();
-      cfg.aborting_steals = true;
+      cfg.queue_mode = QueueMode::Aborting;
       TaskCollection tc(rt, cfg);
       EXPECT_EQ(tc.queue_mode(), QueueMode::Split);
-      EXPECT_FALSE(tc.config().aborting_steals);
       tc.destroy();
     }
     ASSERT_EQ(setenv("SCIOTO_QUEUE", "aborting", 1), 0);
     {
       TaskCollection tc(rt, small_cfg());
-      EXPECT_EQ(tc.queue_mode(), QueueMode::Split);
-      EXPECT_TRUE(tc.config().aborting_steals);
+      EXPECT_EQ(tc.queue_mode(), QueueMode::Aborting);
       tc.destroy();
     }
 
@@ -551,10 +550,31 @@ TEST(TcQueueEnv, SelectsStealProtocolOrRejectsAtConstruction) {
     for (const char* mode : {"aborting", "lockfree"}) {
       ASSERT_EQ(setenv("SCIOTO_QUEUE", mode, 1), 0);
       tc_t tc = tc_create(16, 4, 1024);
-      EXPECT_STREQ(tc_queue_mode(tc),
-                   std::string(mode) == "lockfree" ? "lockfree" : "split");
+      EXPECT_STREQ(tc_queue_mode(tc), mode);
       tc_destroy(tc);
     }
+  });
+}
+
+// The variable picks the protocol of a *split* queue: an explicit NoSplit
+// (Figure 7's No-Split column) keeps its fully locked queue under every
+// value, and still rejects an unknown one.
+TEST(TcQueueEnv, LeavesExplicitNoSplitAlone) {
+  struct EnvGuard {
+    ~EnvGuard() { unsetenv("SCIOTO_QUEUE"); }
+  } guard;
+  testing::run_sim(1, [&](Runtime& rt) {
+    TcConfig cfg = small_cfg();
+    cfg.queue_mode = QueueMode::NoSplit;
+    for (const char* mode : {"locked", "aborting", "lockfree"}) {
+      ASSERT_EQ(setenv("SCIOTO_QUEUE", mode, 1), 0);
+      TaskCollection tc(rt, cfg);
+      EXPECT_EQ(tc.queue_mode(), QueueMode::NoSplit)
+          << "SCIOTO_QUEUE=" << mode;
+      tc.destroy();
+    }
+    ASSERT_EQ(setenv("SCIOTO_QUEUE", "bogus", 1), 0);
+    EXPECT_THROW(TaskCollection(rt, cfg), Error);
   });
 }
 
