@@ -8,12 +8,13 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <utility>
 
 #include "base/error.hpp"
 #include "detect/membership.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/monitor.hpp"
-#include "trace/trace.hpp"
+#include "obs/obs.hpp"
 
 namespace scioto::control {
 
@@ -278,19 +279,18 @@ bool apply_owner(Rank r, RankRow& row, const Decision& d, TimeNs t) {
   if (!row.knobs->set(d.knob, d.value)) return false;
   std::int64_t applied = row.knobs->get(d.knob);
   publish_row(row);
-  SCIOTO_TRACE_EVENT(r, trace::Ev::KnobChange, static_cast<int>(d.knob),
-                     applied, d.reason);
-  SCIOTO_METRIC_CTR(r, metrics::Ctr::CtlDecisions, 1);
-  SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlChunk,
-                      row.knobs->get(Knob::StealChunk));
-  SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlStealHalf,
-                      row.knobs->get(Knob::StealHalf));
-  SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlRelease,
-                      row.knobs->get(Knob::ReleaseThreshold));
-  SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlRetarget,
-                      row.knobs->get(Knob::RetargetBudget));
-  SCIOTO_METRIC_GAUGE(r, metrics::Gauge::CtlVictimSet,
-                      row.knobs->get(Knob::VictimSetSize));
+  obs::emit(r, trace::Ev::KnobChange, static_cast<int>(d.knob), applied,
+            d.reason);
+  // The ctl_* gauges mirror the live knobs.
+  static constexpr std::pair<metrics::Gauge, Knob> kMirror[] = {
+      {metrics::Gauge::CtlChunk, Knob::StealChunk},
+      {metrics::Gauge::CtlStealHalf, Knob::StealHalf},
+      {metrics::Gauge::CtlRelease, Knob::ReleaseThreshold},
+      {metrics::Gauge::CtlRetarget, Knob::RetargetBudget},
+      {metrics::Gauge::CtlVictimSet, Knob::VictimSetSize}};
+  for (const auto& [gauge, knob] : kMirror) {
+    obs::gauge(r, gauge, static_cast<std::uint64_t>(row.knobs->get(knob)));
+  }
   g_ctl.st_decisions.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(g_ctl.log_mu);
   g_ctl.log.push_back(DecisionRecord{t, r, d.knob, applied, d.reason});
@@ -450,7 +450,7 @@ void poll_epoch(Rank r, TimeNs now, std::uint64_t shared_depth) {
   row.prev_steals = st;
   row.prev_busy = busy;
   g_ctl.st_epochs.fetch_add(1, std::memory_order_relaxed);
-  SCIOTO_METRIC_CTR(r, metrics::Ctr::CtlEpochs, 1);
+  obs::count(r, metrics::Ctr::CtlEpochs);
   std::vector<Decision> ds;
   row.engine.step(sig, cur, &ds);
   for (const Decision& d : ds) apply_owner(r, row, d, now);
@@ -471,7 +471,7 @@ void inherit(Rank me, Rank dead) {
   }
   if (any) {
     g_ctl.st_inherits.fetch_add(1, std::memory_order_relaxed);
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::CtlInherits, 1);
+    obs::count(me, metrics::Ctr::CtlInherits);
   }
 }
 

@@ -5,8 +5,7 @@
 #include <sstream>
 
 #include "fault/fault.hpp"
-#include "metrics/metrics.hpp"
-#include "trace/trace.hpp"
+#include "obs/obs.hpp"
 
 namespace scioto::dag {
 
@@ -453,14 +452,11 @@ void DagScheduler::run_node(TaskContext& tctx) {
     }
   }
 
-  SCIOTO_TRACE_EVENT(me, trace::Ev::NodeRun, id32(id), group, depth);
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::DagNodesRun, 1);
-  SCIOTO_METRIC_HIST(me, metrics::Hist::DagNodeDepth,
-                     static_cast<std::uint64_t>(depth));
+  obs::emit(me, trace::Ev::NodeRun, id32(id), group, depth);
   stats_.nodes_run++;
   if (static_cast<std::uint64_t>(depth) > stats_.max_depth) {
     stats_.max_depth = static_cast<std::uint64_t>(depth);
-    SCIOTO_METRIC_GAUGE(me, metrics::Gauge::DagDepthMax, depth);
+    obs::gauge(me, metrics::Gauge::DagDepthMax, stats_.max_depth);
   }
 
   SCIOTO_CHECK(!in_node_);
@@ -526,12 +522,10 @@ void DagScheduler::decrement(NodeId succ, std::int64_t delta) {
 
 void DagScheduler::fire(NodeId id, Rank home, std::int32_t depth) {
   const Rank me = rt_.me();
-  SCIOTO_TRACE_EVENT(me, trace::Ev::NodeReady, id32(id), home, depth);
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::DagNodesFired, 1);
+  obs::emit(me, trace::Ev::NodeReady, id32(id), home, depth);
   stats_.nodes_fired++;
   if (home != me) {
     stats_.remote_fires++;
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::DagRemoteFires, 1);
   }
   // Home-rank affinity: the node lands at the head of its home's queue
   // (dead homes are redirected locally by the collection itself).
@@ -556,14 +550,12 @@ void DagScheduler::enqueue(NodeId id, Rank where, int affinity) {
 
 void DagScheduler::defer(NodeId id, GroupId group, bool version_wait) {
   const Rank me = rt_.me();
-  SCIOTO_TRACE_EVENT(me, trace::Ev::ConflictRetry, id32(id),
-                     version_wait ? 1 : 0, group);
+  obs::emit(me, trace::Ev::ConflictRetry, id32(id), version_wait ? 1 : 0,
+            group);
   if (version_wait) {
     stats_.version_waits++;
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::DagVersionWaits, 1);
   } else {
     stats_.conflict_retries++;
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::DagConflictRetries, 1);
   }
   if (fault::active()) {
     // Parked memory is rank-local and dies with the rank. Under a fault
@@ -574,7 +566,7 @@ void DagScheduler::defer(NodeId id, GroupId group, bool version_wait) {
     return;
   }
   parked_.push_back({id, group});
-  SCIOTO_METRIC_GAUGE(me, metrics::Gauge::DagParked, parked_.size());
+  obs::gauge(me, metrics::Gauge::DagParked, parked_.size());
 }
 
 bool DagScheduler::gates_look_open(const ParkEntry& e) {
@@ -623,7 +615,7 @@ std::uint64_t DagScheduler::retry_parked() {
   }
   parked_.resize(kept);
   if (injected > 0) {
-    SCIOTO_METRIC_GAUGE(rt_.me(), metrics::Gauge::DagParked, parked_.size());
+    obs::gauge(rt_.me(), metrics::Gauge::DagParked, parked_.size());
   }
   return injected;
 }

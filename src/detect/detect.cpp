@@ -4,8 +4,7 @@
 #include <atomic>
 
 #include "base/error.hpp"
-#include "metrics/metrics.hpp"
-#include "trace/trace.hpp"
+#include "obs/obs.hpp"
 
 namespace scioto::detect {
 
@@ -92,7 +91,7 @@ void HeartbeatProbe::publish(TimeNs now) {
   last_pub_ = now;
   ++hb_count_;
   ++n_heartbeats_;
-  SCIOTO_METRIC_CTR(me_, metrics::Ctr::Heartbeats, 1);
+  obs::count(me_, metrics::Ctr::Heartbeats);
   auto* w = reinterpret_cast<std::uint64_t*>(rt_.seg_ptr(seg_, me_));
   std::atomic_ref<std::uint64_t>(w[kHbWord + 1])
       .store(epoch_seen_, std::memory_order_relaxed);
@@ -119,15 +118,15 @@ void HeartbeatProbe::probe_one(TimeNs now) {
   Rank peer = neighbors_[next_neighbor_ % neighbors_.size()];
   ++next_neighbor_;
   ++n_probes_;
-  SCIOTO_METRIC_CTR(me_, metrics::Ctr::Probes, 1);
+  obs::count(me_, metrics::Ctr::Probes);
   std::uint64_t hb = 0, ep = 0;
   pgas::OpStatus st = rt_.probe_pair_checked(seg_, peer, 0, &hb, &ep);
-  if (SCIOTO_METRICS_ON()) {
+  if (metrics::active()) {
     // The probe's charged round trip: wire + remote-read cost under sim,
     // actual elapsed time under threads.
-    metrics::hist_record(me_, metrics::Hist::ProbeRttNs,
-                         static_cast<std::uint64_t>(
-                             std::max<TimeNs>(rt_.now() - now, 0)));
+    obs::sample(
+        me_, metrics::Hist::ProbeRttNs,
+        static_cast<std::uint64_t>(std::max<TimeNs>(rt_.now() - now, 0)));
   }
   if (st == pgas::OpStatus::Dropped) {
     return;  // a dropped probe is just a missed heartbeat
@@ -140,9 +139,8 @@ void HeartbeatProbe::probe_one(TimeNs now) {
       p.suspected = false;
       ++n_refutes_;
       note_suspect(peer, false);
-      SCIOTO_METRIC_CTR(me_, metrics::Ctr::Refutes, 1);
       publish_view_gauges();
-      SCIOTO_TRACE_EVENT(me_, trace::Ev::Refute, peer, 0, 0);
+      obs::emit(me_, trace::Ev::Refute, peer);
     }
     return;
   }
@@ -151,15 +149,13 @@ void HeartbeatProbe::probe_one(TimeNs now) {
     p.suspected = true;
     ++n_suspects_;
     note_suspect(peer, true);
-    SCIOTO_METRIC_CTR(me_, metrics::Ctr::Suspects, 1);
     publish_view_gauges();
-    SCIOTO_TRACE_EVENT(me_, trace::Ev::Suspect, peer, 0, silence);
+    obs::emit(me_, trace::Ev::Suspect, peer, 0, silence);
   }
   if (p.suspected && silence > cfg_.confirm_after) {
     if (confirm_dead(peer, me_)) {
       note_detect_latency(silence);
-      SCIOTO_METRIC_CTR(me_, metrics::Ctr::Confirms, 1);
-      SCIOTO_TRACE_EVENT(me_, trace::Ev::ConfirmDead, peer, 0, silence);
+      obs::emit(me_, trace::Ev::ConfirmDead, peer, 0, silence);
     }
     // The suspicion resolved into a death; either way the dashboard
     // should now show the peer dead, not suspect.
@@ -171,12 +167,12 @@ void HeartbeatProbe::probe_one(TimeNs now) {
 }
 
 void HeartbeatProbe::publish_view_gauges() {
-  if (!SCIOTO_METRICS_ON()) return;
-  metrics::gauge_set(me_, metrics::Gauge::AliveView,
-                     static_cast<std::uint64_t>(alive_count()));
+  if (!metrics::active()) return;
+  obs::gauge(me_, metrics::Gauge::AliveView,
+             static_cast<std::uint64_t>(alive_count()));
   std::uint64_t suspects = 0;
   for (const Peer& p : peers_) suspects += p.suspected ? 1 : 0;
-  metrics::gauge_set(me_, metrics::Gauge::SuspectsView, suspects);
+  obs::gauge(me_, metrics::Gauge::SuspectsView, suspects);
 }
 
 }  // namespace scioto::detect

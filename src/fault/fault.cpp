@@ -7,7 +7,7 @@
 #include "base/error.hpp"
 #include "base/rng.hpp"
 #include "sim/engine.hpp"
-#include "trace/trace.hpp"
+#include "obs/obs.hpp"
 
 namespace scioto::fault {
 
@@ -80,8 +80,8 @@ std::uint64_t mark_dead_locked(Rank r, TimeNs now) {
   ++g_session.stats.kills;
   std::uint64_t e =
       g_session.epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
-  SCIOTO_TRACE_EVENT(r, trace::Ev::FaultInjected,
-                     static_cast<int>(FaultType::Kill), r, now);
+  obs::emit(r, trace::Ev::FaultInjected, static_cast<int>(FaultType::Kill), r,
+            now);
   return e;
 }
 
@@ -201,8 +201,8 @@ OpFate one_sided_fate(OpKind op, Rank me, Rank target) {
     }
     if (!op_matches(a.ev, op, me, target)) continue;
     if (!try_fire(a, now)) continue;
-    SCIOTO_TRACE_EVENT(me, trace::Ev::FaultInjected, static_cast<int>(t),
-                       target, a.ev.dur);
+    obs::emit(me, trace::Ev::FaultInjected, static_cast<int>(t), target,
+              a.ev.dur);
     switch (t) {
       case FaultType::Drop:
         ++g_session.stats.drops;
@@ -229,8 +229,8 @@ int truncate_steal(Rank thief, Rank victim, int want) {
     int keep = std::min(want, a.ev.keep);
     if (keep < want) {
       ++g_session.stats.truncations;
-      SCIOTO_TRACE_EVENT(thief, trace::Ev::FaultInjected,
-                         static_cast<int>(FaultType::Truncate), victim, keep);
+      obs::emit(thief, trace::Ev::FaultInjected,
+                static_cast<int>(FaultType::Truncate), victim, keep);
     }
     return keep;
   }
@@ -247,8 +247,8 @@ TimeNs stall_time(Rank holder) {
     if (a.ev.rank != kNoRank && a.ev.rank != holder) continue;
     if (!try_fire(a, now)) continue;
     ++g_session.stats.stalls;
-    SCIOTO_TRACE_EVENT(holder, trace::Ev::FaultInjected,
-                       static_cast<int>(FaultType::Stall), holder, a.ev.dur);
+    obs::emit(holder, trace::Ev::FaultInjected,
+              static_cast<int>(FaultType::Stall), holder, a.ev.dur);
     return a.ev.dur;
   }
   return 0;
@@ -284,8 +284,8 @@ TimeNs rank_stall_time(Rank me) {
     if (now >= 0 ? now < a.ev.at : polls <= a.ev.after) continue;
     a.fired = 1;
     ++g_session.stats.stalls;
-    SCIOTO_TRACE_EVENT(me, trace::Ev::FaultInjected,
-                       static_cast<int>(FaultType::Stall), me, a.ev.for_dur);
+    obs::emit(me, trace::Ev::FaultInjected, static_cast<int>(FaultType::Stall),
+              me, a.ev.for_dur);
     return a.ev.for_dur;
   }
   return 0;

@@ -22,33 +22,31 @@
 // ranks are cooperatively scheduled fibers and the seqlock is trivially
 // quiescent at every scrape.
 //
-// Gating (same discipline as trace/): nothing is recorded until
-// metrics::start(nranks); armed by the SCIOTO_METRICS env var / C-API knob
-// in pgas::run_spmd, or directly by benches. active() is an inline relaxed
-// load, so when no session is active each instrumentation site costs one
-// predicted-false branch, and metrics-off runs stay byte-identical to
-// baseline (locked in by tests/test_metrics.cpp).
+// Gating: nothing is recorded until metrics::start(nranks); armed by the
+// SCIOTO_METRICS env var / C-API knob in pgas::run_spmd, or directly by
+// benches. The session flag is the kMetrics bit of the one armed word
+// (obs/armed.hpp). Runtime code does not call the recording functions
+// below itself: each occurrence goes through one obs:: probe (obs/obs.hpp)
+// whose event->metric table turns the recorded event into counter and
+// histogram updates, and metric-only occurrences (gauges, retries,
+// heartbeats) use obs::count/gauge/sample under the same word. A disarmed
+// probe is one relaxed load and one predicted-false branch, and
+// metrics-off runs stay byte-identical to baseline (locked in by
+// tests/test_metrics.cpp).
 //
 // Determinism: recording never reads a clock by itself -- durations are
-// handed in by instrumentation sites that only take timestamps when a
-// session is active, and the monitor samples in virtual time under sim --
+// handed in by obs::Span, which only takes timestamps when armed, and the monitor samples in virtual time under sim --
 // so metrics-on sim runs are bit-deterministic.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
 #include "base/stats.hpp"
 #include "base/types.hpp"
+#include "obs/armed.hpp"
 
 namespace scioto::metrics {
-
-namespace detail {
-// The session flag behind active(), inline so every probe site reads it
-// without a call. Only start()/stop() store it (release order).
-inline std::atomic<bool> g_active{false};
-}  // namespace detail
 
 // ---- Fixed metric schema ----
 //
@@ -156,10 +154,8 @@ inline constexpr int kPatchWords =
 
 // ---- Session ----
 
-/// True between start() and stop(); one relaxed atomic load.
-inline bool active() {
-  return detail::g_active.load(std::memory_order_relaxed);
-}
+/// True between start() and stop(): the kMetrics bit of the armed word.
+inline bool active() { return (obs::armed() & obs::kMetrics) != 0; }
 
 /// Allocates the per-rank metric patches (zeroed) and begins recording.
 void start(int nranks);
@@ -170,7 +166,8 @@ void stop();
 /// Ranks in the active session (0 when inactive).
 int session_nranks();
 
-// ---- Owner-side recording (call only for your own rank) ----
+// ---- Owner-side recording (call only for your own rank; obs:: probes
+// call these) ----
 
 void counter_add(Rank r, Ctr c, std::uint64_t delta = 1);
 void gauge_set(Rank r, Gauge g, std::uint64_t v);
@@ -251,29 +248,3 @@ Config config();
 void set_config(const Config& cfg);
 
 }  // namespace scioto::metrics
-
-// Instrumentation macros: one predicted-false branch when no session is
-// active (arguments unevaluated). SCIOTO_METRICS_ON() guards clock reads
-// that only exist to feed a histogram.
-#define SCIOTO_METRICS_ON() (::scioto::metrics::active())
-#define SCIOTO_METRIC_CTR(rank, ctr, delta)                               \
-  do {                                                                    \
-    if (::scioto::metrics::active()) {                                    \
-      ::scioto::metrics::counter_add((rank), (ctr),                       \
-                                     static_cast<std::uint64_t>(delta));  \
-    }                                                                     \
-  } while (0)
-#define SCIOTO_METRIC_GAUGE(rank, gauge, v)                               \
-  do {                                                                    \
-    if (::scioto::metrics::active()) {                                    \
-      ::scioto::metrics::gauge_set((rank), (gauge),                       \
-                                   static_cast<std::uint64_t>(v));        \
-    }                                                                     \
-  } while (0)
-#define SCIOTO_METRIC_HIST(rank, hist, v)                                 \
-  do {                                                                    \
-    if (::scioto::metrics::active()) {                                    \
-      ::scioto::metrics::hist_record((rank), (hist),                      \
-                                     static_cast<std::uint64_t>(v));      \
-    }                                                                     \
-  } while (0)

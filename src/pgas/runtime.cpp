@@ -11,6 +11,7 @@
 #include "elastic/elastic.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/monitor.hpp"
+#include "obs/obs.hpp"
 #include "pgas/sim_backend.hpp"
 #include "pgas/thread_backend.hpp"
 #include "trace/export.hpp"
@@ -78,11 +79,9 @@ std::size_t Runtime::seg_bytes(SegId id) const {
 void Runtime::get(SegId id, Rank target, std::size_t offset, void* dst,
                   std::size_t n) {
   SCIOTO_CHECK(offset + n <= seg_bytes(id));
-  if (target != me()) {
+  if (const Rank self = me(); target != self) {
     backend_.rma_charge(target, n);
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0, n);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes, n);
+    obs::emit(self, trace::Ev::PgasGet, target, 0, n);
   }
   std::memcpy(dst, seg_ptr(id, target) + offset, n);
 }
@@ -90,11 +89,9 @@ void Runtime::get(SegId id, Rank target, std::size_t offset, void* dst,
 void Runtime::put(SegId id, Rank target, std::size_t offset, const void* src,
                   std::size_t n) {
   SCIOTO_CHECK(offset + n <= seg_bytes(id));
-  if (target != me()) {
+  if (const Rank self = me(); target != self) {
     backend_.rma_charge(target, n);
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasPut, target, 0, n);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPuts, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, n);
+    obs::emit(self, trace::Ev::PgasPut, target, 0, n);
   }
   std::memcpy(seg_ptr(id, target) + offset, src, n);
 }
@@ -109,11 +106,8 @@ void Runtime::get_strided(SegId id, Rank target, std::size_t offset,
   SCIOTO_CHECK(offset + (nrows - 1) * src_stride + row_bytes <=
                seg_bytes(id));
   rma_charge_span(target, nrows * row_bytes);
-  if (target != me()) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0,
-                       nrows * row_bytes);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes, nrows * row_bytes);
+  if (const Rank self = me(); target != self) {
+    obs::emit(self, trace::Ev::PgasGet, target, 0, nrows * row_bytes);
   }
   const std::byte* base = seg_ptr(id, target) + offset;
   auto* out = static_cast<std::byte*>(dst);
@@ -132,11 +126,8 @@ void Runtime::put_strided(SegId id, Rank target, std::size_t offset,
   SCIOTO_CHECK(offset + (nrows - 1) * dst_stride + row_bytes <=
                seg_bytes(id));
   rma_charge_span(target, nrows * row_bytes);
-  if (target != me()) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasPut, target, 0,
-                       nrows * row_bytes);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPuts, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, nrows * row_bytes);
+  if (const Rank self = me(); target != self) {
+    obs::emit(self, trace::Ev::PgasPut, target, 0, nrows * row_bytes);
   }
   std::byte* base = seg_ptr(id, target) + offset;
   const auto* in = static_cast<const std::byte*>(src);
@@ -149,7 +140,8 @@ namespace {
 
 /// Shared fault-consultation wrapper for the *_checked ops: charges wire
 /// time (also for drops -- the packet left the NIC either way), applies the
-/// memcpy via `apply` unless dropped, twice on Dup.
+/// memcpy via `apply` unless dropped, twice on Dup, and records the op's
+/// probe when it reached another rank.
 template <class Apply>
 OpStatus checked_one_sided(Backend& backend, fault::OpKind op, Rank me,
                            Rank target, std::size_t n, Apply&& apply) {
@@ -170,10 +162,38 @@ OpStatus checked_one_sided(Backend& backend, fault::OpKind op, Rank me,
     backend.rma_charge(target, n);
     apply();
   }
+  obs::emit(me,
+            op == fault::OpKind::Put ? trace::Ev::PgasPut : trace::Ev::PgasGet,
+            target, 0, n);
   // Liveness through the detector's membership view: with the detector
   // armed, a dead target reads Ok until some prober confirms the death --
   // no survivor is omniscient. Disarmed, this falls back to the oracle.
   return detect::alive(target) ? OpStatus::Ok : OpStatus::TargetDead;
+}
+
+/// Retries a checked op past injected drops (fault::policy().max_attempts)
+/// with the fault session's backoff between attempts.
+template <class Op>
+OpStatus with_retry(Runtime& rt, int* attempts, Op&& op) {
+  const fault::RetryPolicy p = fault::policy();
+  OpStatus st = OpStatus::Dropped;
+  int a = 0;
+  for (; a < p.max_attempts; ++a) {
+    if (a > 0) {
+      rt.charge(fault::backoff(rt.me(), a - 1));
+      rt.relax();
+    }
+    st = op();
+    if (st != OpStatus::Dropped) break;
+  }
+  if (a > 0) {
+    obs::count(rt.me(), metrics::Ctr::OpRetries,
+               static_cast<std::uint64_t>(std::min(a, p.max_attempts - 1)));
+  }
+  if (attempts != nullptr) {
+    *attempts = std::min(a + 1, p.max_attempts);
+  }
+  return st;
 }
 
 }  // namespace
@@ -181,76 +201,30 @@ OpStatus checked_one_sided(Backend& backend, fault::OpKind op, Rank me,
 OpStatus Runtime::get_checked(SegId id, Rank target, std::size_t offset,
                               void* dst, std::size_t n) {
   SCIOTO_CHECK(offset + n <= seg_bytes(id));
-  OpStatus st = checked_one_sided(
+  return checked_one_sided(
       backend_, fault::OpKind::Get, me(), target, n,
       [&] { std::memcpy(dst, seg_ptr(id, target) + offset, n); });
-  if (target != me() && st != OpStatus::Dropped) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0, n);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes, n);
-  }
-  return st;
 }
 
 OpStatus Runtime::put_checked(SegId id, Rank target, std::size_t offset,
                               const void* src, std::size_t n) {
   SCIOTO_CHECK(offset + n <= seg_bytes(id));
-  OpStatus st = checked_one_sided(
+  return checked_one_sided(
       backend_, fault::OpKind::Put, me(), target, n,
       [&] { std::memcpy(seg_ptr(id, target) + offset, src, n); });
-  if (target != me() && st != OpStatus::Dropped) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasPut, target, 0, n);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPuts, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, n);
-  }
-  return st;
 }
 
 OpStatus Runtime::get_with_retry(SegId id, Rank target, std::size_t offset,
                                  void* dst, std::size_t n, int* attempts) {
-  fault::RetryPolicy p = fault::policy();
-  OpStatus st = OpStatus::Dropped;
-  int a = 0;
-  for (; a < p.max_attempts; ++a) {
-    if (a > 0) {
-      charge(fault::backoff(me(), a - 1));
-      relax();
-    }
-    st = get_checked(id, target, offset, dst, n);
-    if (st != OpStatus::Dropped) break;
-  }
-  if (a > 0) {
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::OpRetries,
-                      std::min(a, p.max_attempts - 1));
-  }
-  if (attempts != nullptr) {
-    *attempts = std::min(a + 1, p.max_attempts);
-  }
-  return st;
+  return with_retry(*this, attempts,
+                    [&] { return get_checked(id, target, offset, dst, n); });
 }
 
 OpStatus Runtime::put_with_retry(SegId id, Rank target, std::size_t offset,
                                  const void* src, std::size_t n,
                                  int* attempts) {
-  fault::RetryPolicy p = fault::policy();
-  OpStatus st = OpStatus::Dropped;
-  int a = 0;
-  for (; a < p.max_attempts; ++a) {
-    if (a > 0) {
-      charge(fault::backoff(me(), a - 1));
-      relax();
-    }
-    st = put_checked(id, target, offset, src, n);
-    if (st != OpStatus::Dropped) break;
-  }
-  if (a > 0) {
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::OpRetries,
-                      std::min(a, p.max_attempts - 1));
-  }
-  if (attempts != nullptr) {
-    *attempts = std::min(a + 1, p.max_attempts);
-  }
-  return st;
+  return with_retry(*this, attempts,
+                    [&] { return put_checked(id, target, offset, src, n); });
 }
 
 OpStatus Runtime::probe_pair_checked(SegId id, Rank target,
@@ -259,7 +233,7 @@ OpStatus Runtime::probe_pair_checked(SegId id, Rank target,
   SCIOTO_CHECK(offset % alignof(std::uint64_t) == 0);
   SCIOTO_CHECK(offset + 2 * sizeof(std::uint64_t) <= seg_bytes(id));
   auto* p = reinterpret_cast<std::uint64_t*>(seg_ptr(id, target) + offset);
-  OpStatus st = checked_one_sided(
+  return checked_one_sided(
       backend_, fault::OpKind::Get, me(), target, 2 * sizeof(std::uint64_t),
       [&] {
         *w0 = std::atomic_ref<std::uint64_t>(p[0]).load(
@@ -267,14 +241,6 @@ OpStatus Runtime::probe_pair_checked(SegId id, Rank target,
         *w1 = std::atomic_ref<std::uint64_t>(p[1]).load(
             std::memory_order_acquire);
       });
-  if (target != me() && st != OpStatus::Dropped) {
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0,
-                       2 * sizeof(std::uint64_t));
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes,
-                      2 * sizeof(std::uint64_t));
-  }
-  return st;
 }
 
 OpStatus Runtime::get_u64_with_retry(SegId id, Rank target,
@@ -283,38 +249,13 @@ OpStatus Runtime::get_u64_with_retry(SegId id, Rank target,
   SCIOTO_CHECK(offset % alignof(std::uint64_t) == 0);
   SCIOTO_CHECK(offset + sizeof(std::uint64_t) <= seg_bytes(id));
   auto* p = reinterpret_cast<std::uint64_t*>(seg_ptr(id, target) + offset);
-  fault::RetryPolicy pol = fault::policy();
-  OpStatus st = OpStatus::Dropped;
-  int a = 0;
-  for (; a < pol.max_attempts; ++a) {
-    if (a > 0) {
-      charge(fault::backoff(me(), a - 1));
-      relax();
-    }
-    st = checked_one_sided(backend_, fault::OpKind::Get, me(), target,
-                           sizeof(std::uint64_t), [&] {
-                             *out = std::atomic_ref<std::uint64_t>(*p).load(
-                                 std::memory_order_acquire);
-                           });
-    if (st != OpStatus::Dropped) {
-      if (target != me()) {
-        SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasGet, target, 0,
-                           sizeof(std::uint64_t));
-        SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGets, 1);
-        SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasGetBytes,
-                          sizeof(std::uint64_t));
-      }
-      break;
-    }
-  }
-  if (a > 0) {
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::OpRetries,
-                      std::min(a, pol.max_attempts - 1));
-  }
-  if (attempts != nullptr) {
-    *attempts = std::min(a + 1, pol.max_attempts);
-  }
-  return st;
+  return with_retry(*this, attempts, [&] {
+    return checked_one_sided(backend_, fault::OpKind::Get, me(), target,
+                             sizeof(std::uint64_t), [&] {
+                               *out = std::atomic_ref<std::uint64_t>(*p).load(
+                                   std::memory_order_acquire);
+                             });
+  });
 }
 
 OpStatus Runtime::put_word_reliable(SegId id, Rank target, std::size_t offset,
@@ -344,11 +285,14 @@ OpStatus Runtime::put_word_reliable(SegId id, Rank target, std::size_t offset,
   }
   backend_.rma_charge_oneway(target, width);
   if (retries > 0) {
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::OpRetries, retries);
+    obs::count(me(), metrics::Ctr::OpRetries,
+               static_cast<std::uint64_t>(retries));
   }
-  if (target != me()) {
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPuts, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, width);
+  if (const Rank self = me(); target != self) {
+    // Metric-only: control words record no PgasPut event (see the
+    // event->metric table in obs/obs.cpp).
+    obs::count(self, metrics::Ctr::PgasPuts);
+    obs::count(self, metrics::Ctr::PgasPutBytes, width);
   }
   std::byte* p = seg_ptr(id, target) + offset;
   if (width == 8) {
@@ -367,12 +311,9 @@ OpStatus Runtime::put_word_reliable(SegId id, Rank target, std::size_t offset,
 void Runtime::acc(SegId id, Rank target, std::size_t offset,
                   const double* src, std::size_t n, double alpha) {
   SCIOTO_CHECK(offset + n * sizeof(double) <= seg_bytes(id));
-  if (target != me()) {
+  if (const Rank self = me(); target != self) {
     backend_.rma_charge(target, n * sizeof(double));
-    SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasAcc, target, 0,
-                       n * sizeof(double));
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasAccs, 1);
-    SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasPutBytes, n * sizeof(double));
+    obs::emit(self, trace::Ev::PgasAcc, target, 0, n * sizeof(double));
   } else {
     // Local accumulate still pays a memory-system cost under sim.
     backend_.charge(static_cast<TimeNs>(n / 4) + 100);
@@ -385,38 +326,34 @@ void Runtime::acc(SegId id, Rank target, std::size_t offset,
   });
 }
 
-std::int64_t Runtime::fetch_add(SegId id, Rank target, std::size_t offset,
-                                std::int64_t delta) {
+std::int64_t* Runtime::rmw_word(SegId id, Rank target, std::size_t offset) {
   SCIOTO_CHECK(offset % alignof(std::int64_t) == 0);
   SCIOTO_CHECK(offset + sizeof(std::int64_t) <= seg_bytes(id));
   backend_.rmw_charge(target);
-  SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasRmw, target, 0, 0);
-  SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasRmws, 1);
-  auto* p = reinterpret_cast<std::int64_t*>(seg_ptr(id, target) + offset);
-  return std::atomic_ref<std::int64_t>(*p).fetch_add(delta);
+  // me() is a backend call: make it only when armed.
+  if (obs::on()) {
+    obs::emit(me(), trace::Ev::PgasRmw, target);
+  }
+  return reinterpret_cast<std::int64_t*>(seg_ptr(id, target) + offset);
+}
+
+std::int64_t Runtime::fetch_add(SegId id, Rank target, std::size_t offset,
+                                std::int64_t delta) {
+  return std::atomic_ref<std::int64_t>(*rmw_word(id, target, offset))
+      .fetch_add(delta);
 }
 
 std::int64_t Runtime::swap(SegId id, Rank target, std::size_t offset,
                            std::int64_t value) {
-  SCIOTO_CHECK(offset % alignof(std::int64_t) == 0);
-  SCIOTO_CHECK(offset + sizeof(std::int64_t) <= seg_bytes(id));
-  backend_.rmw_charge(target);
-  SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasRmw, target, 0, 0);
-  SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasRmws, 1);
-  auto* p = reinterpret_cast<std::int64_t*>(seg_ptr(id, target) + offset);
-  return std::atomic_ref<std::int64_t>(*p).exchange(value);
+  return std::atomic_ref<std::int64_t>(*rmw_word(id, target, offset))
+      .exchange(value);
 }
 
 std::int64_t Runtime::compare_swap(SegId id, Rank target, std::size_t offset,
                                    std::int64_t expected,
                                    std::int64_t desired) {
-  SCIOTO_CHECK(offset % alignof(std::int64_t) == 0);
-  SCIOTO_CHECK(offset + sizeof(std::int64_t) <= seg_bytes(id));
-  backend_.rmw_charge(target);
-  SCIOTO_TRACE_EVENT(me(), trace::Ev::PgasRmw, target, 0, 0);
-  SCIOTO_METRIC_CTR(me(), metrics::Ctr::PgasRmws, 1);
-  auto* p = reinterpret_cast<std::int64_t*>(seg_ptr(id, target) + offset);
-  std::atomic_ref<std::int64_t>(*p).compare_exchange_strong(expected, desired);
+  std::atomic_ref<std::int64_t>(*rmw_word(id, target, offset))
+      .compare_exchange_strong(expected, desired);
   return expected;  // compare_exchange_strong wrote the observed value here
 }
 

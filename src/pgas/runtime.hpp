@@ -299,6 +299,10 @@ class Runtime {
     std::deque<PendingMsg> q;
   };
 
+  /// Shared prologue of the RMW ops: bounds checks, the RMW charge and its
+  /// probe; returns the target word.
+  std::int64_t* rmw_word(SegId id, Rank target, std::size_t offset);
+
   std::byte* coll_slot(Rank r) {
     return coll_space_.get() + static_cast<std::size_t>(r) * kCollSlotBytes;
   }

@@ -2,7 +2,7 @@
 
 #include "base/error.hpp"
 #include "fault/fault.hpp"
-#include "trace/trace.hpp"
+#include "obs/obs.hpp"
 
 namespace scioto::pgas {
 
@@ -152,7 +152,7 @@ int SimBackend::barrier_stages() const {
 }
 
 void SimBackend::barrier() {
-  SCIOTO_TRACE_EVENT(engine_->current_rank(), trace::Ev::Barrier, 0, 0, 0);
+  obs::emit(engine_->current_rank(), trace::Ev::Barrier);
   engine_->barrier(barrier_stages() * machine_.barrier_stage_armci);
 }
 

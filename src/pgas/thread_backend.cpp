@@ -8,7 +8,7 @@
 #include "base/error.hpp"
 #include "base/log.hpp"
 #include "fault/fault.hpp"
-#include "trace/trace.hpp"
+#include "obs/obs.hpp"
 
 namespace scioto::pgas {
 
@@ -139,7 +139,7 @@ void ThreadBackend::notify(Rank r) {
 TimeNs ThreadBackend::msg_send_time(Rank, std::size_t) { return 0; }
 
 void ThreadBackend::barrier() {
-  SCIOTO_TRACE_EVENT(t_my_rank, trace::Ev::Barrier, 0, 0, 0);
+  obs::emit(t_my_rank, trace::Ev::Barrier);
   std::unique_lock<std::mutex> g(barrier_mutex_);
   std::uint64_t gen = barrier_generation_;
   if (++barrier_arrived_ == nranks_) {

@@ -4,10 +4,9 @@
 #include <cstring>
 
 #include "detect/membership.hpp"
-#include "metrics/metrics.hpp"
+#include "obs/obs.hpp"
 #include "scioto/task.hpp"
 #include "trace/lineage.hpp"
-#include "trace/trace.hpp"
 
 namespace scioto {
 
@@ -183,9 +182,9 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
                                                    int affinity) {
   Rank me = rt_.me();
   Ctl& c = ctl(me);
-  counters().pushes++;
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::QPushes, 1);
-  TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
+  const obs::Span span;
+  // Queue size after the push: the Push event's payload.
+  std::uint64_t depth = 0;
 
   if (cfg_.mode == QueueMode::NoSplit) {
     // No-split ablation: single fully locked region; everything enters at
@@ -205,13 +204,8 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
     c.priv_tail.store(pt + 1, std::memory_order_release);
     c.split.store(pt + 1, std::memory_order_release);
     rt_.unlock(locks_, me);
-    rt_.charge(rt_.machine().local_insert);
-    SCIOTO_TRACE_EVENT(me, trace::Ev::Push, affinity, 0, (pt + 1) - sh);
-    metrics_owner_op(metrics::Hist::PushNs, t0);
-    return PushOutcome::Ok;
-  }
-
-  if (affinity >= kAffinityHigh) {
+    depth = (pt + 1) - sh;
+  } else if (affinity >= kAffinityHigh) {
     // Lock-free private push: thieves never touch [split, priv_tail).
     std::uint64_t pt = c.priv_tail.load(std::memory_order_relaxed);
     if (ft_ && (pt & kFrozenBit)) {
@@ -247,53 +241,53 @@ SplitQueue::PushOutcome SplitQueue::try_push_local(const std::byte* task,
     } else {
       c.priv_tail.store(pt + 1, std::memory_order_release);
     }
-    rt_.charge(rt_.machine().local_insert);
-    SCIOTO_TRACE_EVENT(me, trace::Ev::Push, affinity, 0, (pt + 1) - sh);
-    metrics_owner_op(metrics::Hist::PushNs, t0);
-    return PushOutcome::Ok;
-  }
-
-  // Low affinity: enter at the steal end so this task migrates first.
-  // Even the owner uses the remote-add publication protocol so the slot
-  // is never visible half-written (lockfree thieves validate only
-  // against steal_head).
-  if (cfg_.mode == QueueMode::LockFree) {
-    bool ok = add_remote_lockfree(me, task);
-    if (ok) {
-      rt_.charge(rt_.machine().local_insert);
-      SCIOTO_TRACE_EVENT(me, trace::Ev::Push, affinity, 0,
-                         c.priv_tail.load(std::memory_order_relaxed) -
-                             sh_idx(c.steal_head.load(
-                                 std::memory_order_relaxed)));
-      metrics_owner_op(metrics::Hist::PushNs, t0);
+    depth = (pt + 1) - sh;
+  } else if (cfg_.mode == QueueMode::LockFree) {
+    // Low affinity: enter at the steal end so this task migrates first.
+    // Even the owner uses the remote-add publication protocol so the slot
+    // is never visible half-written (lockfree thieves validate only
+    // against steal_head). The size is read back after the charge below.
+    if (!add_remote_lockfree(me, task)) {
+      return PushOutcome::Full;
     }
-    return ok ? PushOutcome::Ok : PushOutcome::Full;
-  }
-  rt_.lock(locks_, me);
-  counters().owner_lock_acqs++;
-  if (ft_ && c.fence.load(std::memory_order_acquire) != 0) {
+  } else {
+    // Low affinity, locked modes: the owner takes its own lock to publish
+    // at the steal end.
+    rt_.lock(locks_, me);
+    counters().owner_lock_acqs++;
+    if (ft_ && c.fence.load(std::memory_order_acquire) != 0) {
+      rt_.unlock(locks_, me);
+      return PushOutcome::Fenced;
+    }
+    std::uint64_t sh = c.steal_head.load(std::memory_order_relaxed);
+    std::uint64_t pt = c.priv_tail.load(std::memory_order_relaxed);
+    if (pt - (sh - 1) >= cfg_.capacity) {
+      rt_.unlock(locks_, me);
+      return PushOutcome::Full;
+    }
+    std::memcpy(slot(me, sh - 1), task, cfg_.slot_bytes);
+    c.steal_head.store(sh - 1, std::memory_order_seq_cst);
     rt_.unlock(locks_, me);
-    return PushOutcome::Fenced;
+    depth = pt - (sh - 1);
   }
-  std::uint64_t sh = c.steal_head.load(std::memory_order_relaxed);
-  std::uint64_t pt = c.priv_tail.load(std::memory_order_relaxed);
-  if (pt - (sh - 1) >= cfg_.capacity) {
-    rt_.unlock(locks_, me);
-    return PushOutcome::Full;
-  }
-  std::memcpy(slot(me, sh - 1), task, cfg_.slot_bytes);
-  c.steal_head.store(sh - 1, std::memory_order_seq_cst);
-  rt_.unlock(locks_, me);
   rt_.charge(rt_.machine().local_insert);
-  SCIOTO_TRACE_EVENT(me, trace::Ev::Push, affinity, 0, pt - (sh - 1));
-  metrics_owner_op(metrics::Hist::PushNs, t0);
+  if (span) {
+    if (cfg_.mode == QueueMode::LockFree && affinity < kAffinityHigh) {
+      depth = c.priv_tail.load(std::memory_order_relaxed) -
+              sh_idx(c.steal_head.load(std::memory_order_relaxed));
+    }
+    span.end(me, trace::Ev::Push, affinity, 0, depth);
+    if (span.metrics()) publish_queue_gauges();
+  }
   return PushOutcome::Ok;
 }
 
 bool SplitQueue::pop_local(std::byte* out) {
   Rank me = rt_.me();
   Ctl& c = ctl(me);
-  TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
+  const obs::Span span;
+  std::uint64_t pt = 0;
+  std::uint64_t sh = 0;
 
   if (cfg_.mode == QueueMode::NoSplit) {
     rt_.lock(locks_, me);
@@ -301,8 +295,8 @@ bool SplitQueue::pop_local(std::byte* out) {
       rt_.unlock(locks_, me);
       return false;  // adopted: the work loop handles the fence abort
     }
-    std::uint64_t pt = c.priv_tail.load(std::memory_order_relaxed);
-    std::uint64_t sh = c.steal_head.load(std::memory_order_relaxed);
+    pt = c.priv_tail.load(std::memory_order_relaxed);
+    sh = c.steal_head.load(std::memory_order_relaxed);
     if (pt == sh) {
       rt_.unlock(locks_, me);
       return false;
@@ -311,48 +305,45 @@ bool SplitQueue::pop_local(std::byte* out) {
     c.priv_tail.store(pt - 1, std::memory_order_release);
     c.split.store(pt - 1, std::memory_order_release);
     rt_.unlock(locks_, me);
-    rt_.charge(rt_.machine().local_get);
-    counters().pops++;
-    SCIOTO_TRACE_EVENT(me, trace::Ev::Pop, 0, 0, (pt - 1) - sh);
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::QPops, 1);
-    metrics_owner_op(metrics::Hist::PopNs, t0);
-    return true;
-  }
-
-  std::uint64_t pt = c.priv_tail.load(std::memory_order_relaxed);
-  if (ft_ && (pt & kFrozenBit)) {
-    // Adopted: bail before the index arithmetic below (the tagged word
-    // would read as a huge private depth) and, crucially, before the CAS
-    // -- a CAS whose expected value IS the frozen word would "succeed"
-    // and corrupt the freeze. The work loop observes the fence next.
-    return false;
-  }
-  std::uint64_t sp = c.split.load(std::memory_order_relaxed);
-  if (pt <= sp) {
-    return false;  // private portion empty; caller should reacquire()
-  }
-  std::memcpy(out, slot(me, pt - 1), cfg_.slot_bytes);
-  if (ft_) {
-    // Arbitrates against a ward's priv_tail freeze: the freeze replaces
-    // the index with a kFrozenBit-tagged word no loaded value matches, so
-    // a lost CAS means the task (and the rest of our queue) now belongs
-    // to the adopter -- discard the copy, report empty, and let the work
-    // loop observe the fence. This is what makes "drains nothing twice"
-    // hold even when the suspicion was wrong.
-    if (!c.priv_tail.compare_exchange_strong(pt, pt - 1,
-                                             std::memory_order_seq_cst)) {
+  } else {
+    pt = c.priv_tail.load(std::memory_order_relaxed);
+    if (ft_ && (pt & kFrozenBit)) {
+      // Adopted: bail before the index arithmetic below (the tagged word
+      // would read as a huge private depth) and, crucially, before the
+      // CAS -- a CAS whose expected value IS the frozen word would
+      // "succeed" and corrupt the freeze. The work loop observes the
+      // fence next.
       return false;
     }
-  } else {
-    c.priv_tail.store(pt - 1, std::memory_order_release);
+    std::uint64_t sp = c.split.load(std::memory_order_relaxed);
+    if (pt <= sp) {
+      return false;  // private portion empty; caller should reacquire()
+    }
+    std::memcpy(out, slot(me, pt - 1), cfg_.slot_bytes);
+    if (ft_) {
+      // Arbitrates against a ward's priv_tail freeze: the freeze replaces
+      // the index with a kFrozenBit-tagged word no loaded value matches,
+      // so a lost CAS means the task (and the rest of our queue) now
+      // belongs to the adopter -- discard the copy, report empty, and let
+      // the work loop observe the fence. This is what makes "drains
+      // nothing twice" hold even when the suspicion was wrong.
+      if (!c.priv_tail.compare_exchange_strong(pt, pt - 1,
+                                               std::memory_order_seq_cst)) {
+        return false;
+      }
+    } else {
+      c.priv_tail.store(pt - 1, std::memory_order_release);
+    }
   }
   rt_.charge(rt_.machine().local_get);
-  counters().pops++;
-  SCIOTO_TRACE_EVENT(me, trace::Ev::Pop, 0, 0,
-                     (pt - 1) - sh_idx(c.steal_head.load(
-                                    std::memory_order_relaxed)));
-  SCIOTO_METRIC_CTR(me, metrics::Ctr::QPops, 1);
-  metrics_owner_op(metrics::Hist::PopNs, t0);
+  if (span) {
+    if (cfg_.mode != QueueMode::NoSplit) {
+      // Thieves move the steal end without our lock: read it back now.
+      sh = sh_idx(c.steal_head.load(std::memory_order_relaxed));
+    }
+    span.end(me, trace::Ev::Pop, 0, 0, (pt - 1) - sh);
+    if (span.metrics()) publish_queue_gauges();
+  }
   return true;
 }
 
@@ -360,12 +351,11 @@ std::uint64_t SplitQueue::note_reacquire(bool fast, std::uint64_t take,
                                          std::uint64_t depth) {
   counters().reacquires++;
   counters().reacquires_fast += fast ? 1 : 0;
-  SCIOTO_TRACE_EVENT(rt_.me(),
-                     fast ? trace::Ev::ReacquireFast : trace::Ev::Reacquire,
-                     take, 0, depth);
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReacquires, 1);
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReacquiredTasks, take);
-  metrics_queue_gauges();
+  if (obs::on()) {
+    obs::emit(rt_.me(), fast ? trace::Ev::ReacquireFast : trace::Ev::Reacquire,
+              take, 0, depth);
+    if (metrics::active()) publish_queue_gauges();
+  }
   return take;
 }
 
@@ -494,13 +484,12 @@ std::uint64_t SplitQueue::release_maybe() {
     c.split.store(sp + give, std::memory_order_release);
   }
   counters().releases++;
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::Release, give, 0,
-                     c.priv_tail.load(std::memory_order_relaxed) -
-                         sh_idx(c.steal_head.load(
-                             std::memory_order_relaxed)));
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReleases, 1);
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::QReleasedTasks, give);
-  metrics_queue_gauges();
+  if (obs::on()) {
+    obs::emit(rt_.me(), trace::Ev::Release, give, 0,
+              c.priv_tail.load(std::memory_order_relaxed) -
+                  sh_idx(c.steal_head.load(std::memory_order_relaxed)));
+    if (metrics::active()) publish_queue_gauges();
+  }
   return give;
 }
 
@@ -570,8 +559,7 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
     // round trip either way; nothing on the victim changed.
     if (!rt_.trylock(locks_, victim)) {
       counters().steals_lock_busy++;
-      SCIOTO_TRACE_EVENT(me, trace::Ev::StealBusy, victim, 0, 0);
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::StealLockBusy, 1);
+      obs::emit(me, trace::Ev::StealBusy, victim);
       return kStealBusy;
     }
   } else {
@@ -592,7 +580,7 @@ int SplitQueue::steal_from_locked(Rank victim, std::byte* out) {
     if (allowed == 0) {
       rt_.unlock(locks_, victim);
       counters().steals_aborted++;
-      SCIOTO_TRACE_EVENT(me, trace::Ev::StealAborted, victim, 0, 0);
+      obs::emit(me, trace::Ev::StealAborted, victim);
       return 0;
     }
     n = static_cast<std::uint64_t>(allowed);
@@ -671,16 +659,14 @@ std::uint64_t SplitQueue::recover_open_txns() {
                                            std::memory_order_acq_rel)) {
       continue;
     }
-    TimeNs t0 = rt_.now();
+    const obs::Span span;
     std::uint64_t n = rec.count.load(std::memory_order_relaxed);
     requeue_or_stash(txn_buf(me, t), n);
     rec.state.store(0, std::memory_order_release);
     counters().tasks_recovered += n;
     total += n;
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::TasksRecovered, n);
-    metrics_queue_gauges();
-    SCIOTO_TRACE_EVENT(me, trace::Ev::TaskRecovered, t,
-                       static_cast<std::uint64_t>(n), rt_.now() - t0);
+    if (span.metrics()) publish_queue_gauges();
+    span.end(me, trace::Ev::TaskRecovered, t, n);
   }
   return total;
 }
@@ -704,7 +690,7 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
   if (sh >= pt && !txn_work) {
     return 0;
   }
-  TimeNs t0 = rt_.now();
+  const obs::Span span;
   std::uint64_t adopted = 0;
   // The lock serializes us against thieves that have not yet observed the
   // death, against rival wards, and -- in detector mode -- against a
@@ -797,10 +783,8 @@ std::uint64_t SplitQueue::drain_dead(Rank dead) {
   rt_.unlock(locks_, dead);
   if (adopted > 0) {
     counters().tasks_recovered += adopted;
-    SCIOTO_METRIC_CTR(me, metrics::Ctr::TasksRecovered, adopted);
-    metrics_queue_gauges();
-    SCIOTO_TRACE_EVENT(me, trace::Ev::TaskRecovered, dead, adopted,
-                       rt_.now() - t0);
+    if (span.metrics()) publish_queue_gauges();
+    span.end(me, trace::Ev::TaskRecovered, dead, adopted);
   }
   return adopted;
 }
@@ -1043,17 +1027,20 @@ int SplitQueue::steal_from_lockfree(Rank victim, std::byte* out) {
 }
 
 int SplitQueue::steal_from(Rank victim, std::byte* out) {
+  const Rank me = rt_.me();
   counters().steal_attempts++;
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealAttempt, victim, 0, 0);
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::StealAttempts, 1);
-  TimeNs t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
+  const obs::Span span;
+  span.emit(me, trace::Ev::StealAttempt, victim);
   int n = cfg_.mode == QueueMode::LockFree ? steal_from_lockfree(victim, out)
                                             : steal_from_locked(victim, out);
   if (n > 0) {
     counters().steals_in++;
     counters().tasks_stolen_in += static_cast<std::uint64_t>(n);
-    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealOk, victim, n, 0);
-    if (cfg_.lineage_off != 0 && victim != rt_.me()) {
+    // Attempt -> tasks landed in our buffer: the duration feeds StealNs.
+    // The thief's own gauges are untouched (the stolen chunk is not in
+    // its queue yet).
+    span.end(me, trace::Ev::StealOk, victim, n, 0);
+    if (cfg_.lineage_off != 0 && victim != me) {
       // The thief stamps the migration into its landed copy (the
       // victim's slots are dead or replayable either way): one hop bump
       // and one MigrateEdge per task, so per-task hop counts and the
@@ -1067,24 +1054,14 @@ int SplitQueue::steal_from(Rank victim, std::byte* out) {
         std::memcpy(&rec, slot + cfg_.lineage_off, sizeof(rec));
         rec.hops += 1;
         std::memcpy(slot + cfg_.lineage_off, &rec, sizeof(rec));
-        SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::MigrateEdge, victim,
-                           rec.hops, rec.id);
+        span.emit(me, trace::Ev::MigrateEdge, victim, rec.hops,
+                  static_cast<std::int64_t>(rec.id));
       }
-    }
-    SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::Steals, 1);
-    SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::TasksStolen, n);
-    if (SCIOTO_METRICS_ON()) {
-      // Attempt -> tasks landed in our buffer; the thief's own gauges are
-      // untouched (the stolen chunk is not in its queue yet).
-      metrics::hist_record(rt_.me(), metrics::Hist::StealNs,
-                           static_cast<std::uint64_t>(
-                               std::max<TimeNs>(rt_.now() - t0, 0)));
     }
   } else if (n == 0) {
     // kStealBusy already traced its own event; it is neither a success
     // nor an empty-handed probe.
-    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealFail, victim, 0, 0);
-    SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::StealFails, 1);
+    span.emit(me, trace::Ev::StealFail, victim);
   }
   return n;
 }
@@ -1155,8 +1132,7 @@ bool SplitQueue::add_remote(Rank target, const std::byte* task) {
     ok = true;
   }
   if (ok) {
-    counters().remote_adds++;
-    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::RemoteAdd, target, 0, 0);
+    obs::emit(rt_.me(), trace::Ev::RemoteAdd, target);
   }
   return ok;
 }
@@ -1209,27 +1185,18 @@ std::uint64_t SplitQueue::debug_patch_hash(Rank r) {
   return h;
 }
 
-void SplitQueue::record_owner_op(metrics::Hist h, TimeNs t0) {
-  // Under sim this measures the op's charged virtual time (lock waits
-  // included); under threads, actual elapsed wall time.
-  metrics::hist_record(rt_.me(), h,
-                       static_cast<std::uint64_t>(
-                           std::max<TimeNs>(rt_.now() - t0, 0)));
-  publish_queue_gauges();
-}
-
 void SplitQueue::publish_queue_gauges() {
   Rank me = rt_.me();
   Ctl& c = ctl(me);
   std::uint64_t pt = unfrozen(c.priv_tail.load(std::memory_order_relaxed));
   std::uint64_t sp = c.split.load(std::memory_order_relaxed);
   std::uint64_t sh = sh_idx(c.steal_head.load(std::memory_order_relaxed));
-  metrics::gauge_set(me, metrics::Gauge::QueueDepth, pt > sh ? pt - sh : 0);
-  metrics::gauge_set(me, metrics::Gauge::QueueShared, sp > sh ? sp - sh : 0);
+  obs::gauge(me, metrics::Gauge::QueueDepth, pt > sh ? pt - sh : 0);
+  obs::gauge(me, metrics::Gauge::QueueShared, sp > sh ? sp - sh : 0);
   // Split position relative to the ring origin: how far the split point
   // has travelled this phase (monotone except for reacquires).
-  metrics::gauge_set(me, metrics::Gauge::QueueSplit,
-                     sp > kIndexBase ? sp - kIndexBase : 0);
+  obs::gauge(me, metrics::Gauge::QueueSplit,
+             sp > kIndexBase ? sp - kIndexBase : 0);
 }
 
 void SplitQueue::reset_collective() {

@@ -73,7 +73,6 @@
 #include <string_view>
 
 #include "control/knobs.hpp"
-#include "metrics/metrics.hpp"
 #include "pgas/runtime.hpp"
 
 namespace scioto {
@@ -136,14 +135,11 @@ class SplitQueue {
   static constexpr int kStealBusy = -1;
 
   struct Counters {
-    std::uint64_t pushes = 0;
-    std::uint64_t pops = 0;
     std::uint64_t releases = 0;
     std::uint64_t reacquires = 0;
     std::uint64_t steals_in = 0;        // successful steals we performed
     std::uint64_t steal_attempts = 0;   // including empty-handed
     std::uint64_t tasks_stolen_in = 0;  // tasks obtained by stealing
-    std::uint64_t remote_adds = 0;      // tasks we pushed to other ranks
     std::uint64_t cas_retries = 0;      // lockfree mode only
     std::uint64_t steal_copy_reuses = 0;  // lockfree retries that kept the
                                           // buffered chunk (same tag)
@@ -397,20 +393,10 @@ class SplitQueue {
   /// LockFree's validated split publish); returns take.
   std::uint64_t note_reacquire(bool fast, std::uint64_t take,
                                std::uint64_t depth);
-  /// Telemetry: record an owner-op latency sample (t0 taken at op entry)
-  /// and refresh this rank's queue gauges. The session check is inline,
-  /// so with no metrics session an op pays one predicted-false branch and
-  /// no call.
-  void metrics_owner_op(metrics::Hist h, TimeNs t0) {
-    if (SCIOTO_METRICS_ON()) record_owner_op(h, t0);
-  }
   /// Publish this rank's queue depth / shared size / split position into
-  /// its metrics patch. Owner-only: thieves never write a victim's gauges
+  /// its metrics patch (metric-only; callers check that metrics are armed
+  /// first). Owner-only: thieves never write a victim's gauges
   /// (single-writer seqlock), so a steal shows up at the victim's next op.
-  void metrics_queue_gauges() {
-    if (SCIOTO_METRICS_ON()) publish_queue_gauges();
-  }
-  void record_owner_op(metrics::Hist h, TimeNs t0);
   void publish_queue_gauges();
 
   pgas::Runtime& rt_;

@@ -1,21 +1,23 @@
 #include "scioto/task_collection.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <thread>
+#include <type_traits>
 
 #include "base/log.hpp"
 #include "base/sha1.hpp"
 #include "control/control.hpp"
 #include "elastic/elastic.hpp"
-#include "metrics/metrics.hpp"
 #include "metrics/monitor.hpp"
+#include "obs/obs.hpp"
 #include "sim/engine.hpp"
 #include "trace/lineage.hpp"
-#include "trace/trace.hpp"
 
 namespace scioto {
 
@@ -404,31 +406,32 @@ void TaskCollection::add_raw(Rank where, int affinity,
   SCIOTO_REQUIRE(size >= sizeof(TaskHeader) && size <= slot_bytes(),
                  "task descriptor size " << size
                      << " outside [header, slot] bounds");
+  const Rank me = rt_.me();
   // Pad the descriptor into a slot-sized scratch buffer (copy-in).
   std::vector<std::byte>& scratch = scratch_;
   std::memcpy(scratch.data(), descriptor, size);
   // Stamp creator and affinity into the stored header.
   auto* hdr = reinterpret_cast<TaskHeader*>(scratch.data());
-  hdr->created_by = rt_.me();
+  hdr->created_by = me;
   hdr->affinity = affinity;
   if (lineage_off_ != 0) {
     // Birth of the causal record: fresh id, parent = whatever task is
     // executing on this rank right now (0 for root seeds). The spawner
     // records the edge; the executor's ExecSpan closes it.
     trace::lineage::LineageRec rec;
-    rec.id = trace::lineage::next_id(rt_.me());
-    rec.parent = trace::lineage::current(rt_.me());
+    rec.id = trace::lineage::next_id(me);
+    rec.parent = trace::lineage::current(me);
     std::memcpy(scratch.data() + lineage_off_, &rec, sizeof(rec));
-    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::SpawnEdge,
-                       static_cast<std::uint32_t>(rec.parent >> 32),
-                       static_cast<std::uint32_t>(rec.parent),
-                       rec.id);
+    obs::emit(me, trace::Ev::SpawnEdge,
+              static_cast<std::uint32_t>(rec.parent >> 32),
+              static_cast<std::uint32_t>(rec.parent),
+              static_cast<std::int64_t>(rec.id));
   }
 
   bool ok;
   // A task aimed at a dead rank lands locally instead of in dead memory
   // its ward would only have to drain back out.
-  if (where == rt_.me() ||
+  if (where == me ||
       ((fault::active() || detect::active()) && !detect::alive(where))) {
     ok = queue_->push_local(scratch.data(), affinity);
     if (ok) {
@@ -439,13 +442,13 @@ void TaskCollection::add_raw(Rank where, int affinity,
     ok = queue_->add_remote(where, scratch.data());
     if (ok) {
       my_stats().tasks_spawned_remote++;
-      SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::RemoteSpawns, 1);
+      obs::count(me, metrics::Ctr::RemoteSpawns);
       // A remote add moves work: termination detection must know (§5.2).
       td_->note_lb_op(where);
     }
   }
   if (ok) {
-    SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::TasksSpawned, 1);
+    obs::count(me, metrics::Ctr::TasksSpawned);
   }
   SCIOTO_REQUIRE(ok, "task collection patch on rank "
                          << where << " is full (max_tasks_per_rank="
@@ -456,16 +459,14 @@ void TaskCollection::execute(std::byte* descriptor) {
   auto* hdr = reinterpret_cast<TaskHeader*>(descriptor);
   const TaskFn& fn =
       registry_.lookup(hdr->callback);
-  TaskContext ctx{*this, *hdr, descriptor + sizeof(TaskHeader), rt_.me()};
-  const TimeNs metrics_t0 = SCIOTO_METRICS_ON() ? rt_.now() : 0;
-  // Same clock reads the process() loop uses for time_working, so the
-  // trace-derived working time reconciles with TcStats exactly under sim.
-  const bool tracing = trace::active();
-  const TimeNs trace_t0 = tracing ? rt_.now() : 0;
-  if (tracing) {
-    trace::record(rt_.me(), trace::Ev::TaskBegin, hdr->callback,
-                  hdr->affinity);
-  }
+  const Rank me = rt_.me();
+  TaskContext ctx{*this, *hdr, descriptor + sizeof(TaskHeader), me};
+  // The task's one armed check. Under sim the span reads the same virtual
+  // clock the process() loop uses for time_working, so the trace-derived
+  // working time reconciles with TcStats exactly; its closing read feeds
+  // both TaskEnd's duration and the TaskExecNs histogram.
+  const obs::Span span;
+  span.emit(me, trace::Ev::TaskBegin, hdr->callback, hdr->affinity);
   // Read the trailer, announce the span (after TaskBegin, so the flow
   // arrow's finish binds inside the task slice), and make this task the
   // current parent for any spawns the callback performs. Saved/restored
@@ -476,26 +477,17 @@ void TaskCollection::execute(std::byte* descriptor) {
   const bool lineage_on = lineage_off_ != 0;
   if (lineage_on) {
     std::memcpy(&lrec, descriptor + lineage_off_, sizeof(lrec));
-    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::ExecSpan, lrec.hops,
-                       hdr->callback, lrec.id);
-    lineage_prev = trace::lineage::current(rt_.me());
-    trace::lineage::set_current(rt_.me(), lrec.id);
+    span.emit(me, trace::Ev::ExecSpan, lrec.hops, hdr->callback,
+              static_cast<std::int64_t>(lrec.id));
+    lineage_prev = trace::lineage::current(me);
+    trace::lineage::set_current(me, lrec.id);
   }
   fn(ctx);
   if (lineage_on) {
-    trace::lineage::set_current(rt_.me(), lineage_prev);
+    trace::lineage::set_current(me, lineage_prev);
   }
-  if (tracing) {
-    trace::record(rt_.me(), trace::Ev::TaskEnd, hdr->callback, 0,
-                  rt_.now() - trace_t0);
-  }
+  span.end(me, trace::Ev::TaskEnd, hdr->callback);
   my_stats().tasks_executed++;
-  SCIOTO_METRIC_CTR(rt_.me(), metrics::Ctr::TasksExecuted, 1);
-  if (SCIOTO_METRICS_ON()) {
-    metrics::hist_record(rt_.me(), metrics::Hist::TaskExecNs,
-                         static_cast<std::uint64_t>(
-                             std::max<TimeNs>(rt_.now() - metrics_t0, 0)));
-  }
 }
 
 void TaskCollection::refresh_membership() {
@@ -539,9 +531,9 @@ void TaskCollection::fence_abort_and_rejoin() {
   Rank adopter =
       fence != 0 ? static_cast<Rank>((fence & 0xffff) - 1) : kNoRank;
   detect::note_fence_abort();
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::FenceAbort,
-                     adopter == kNoRank ? -1 : adopter,
-                     static_cast<long long>(fence >> 16), 0);
+  obs::emit(rt_.me(), trace::Ev::FenceAbort,
+            adopter == kNoRank ? -1 : adopter,
+            static_cast<std::int64_t>(fence >> 16));
   if (hb_) {
     hb_->reset_observations();
   }
@@ -581,8 +573,9 @@ struct TaskCollection::Phase {
   }
   /// Emits the coalesced Search event for the spell so far.
   void emit_search() {
-    SCIOTO_TRACE_EVENT(rt.me(), trace::Ev::Search, 0, 0, search_accum);
-    SCIOTO_METRIC_HIST(rt.me(), metrics::Hist::SearchNs, search_accum);
+    if (obs::on()) {
+      obs::emit(rt.me(), trace::Ev::Search, 0, 0, search_accum);
+    }
     search_accum = 0;
   }
 };
@@ -609,7 +602,7 @@ void TaskCollection::process() {
            ft,
            elastic_on};
   const TimeNs t_begin = rt_.now();
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseBegin, 0, 0, 0);
+  obs::emit(rt_.me(), trace::Ev::PhaseBegin);
   bool parked_out = false;  // phase ended while this rank was still parked
   if (elastic_on && !restore_done_) {
     restore_done_ = true;
@@ -653,7 +646,7 @@ void TaskCollection::process() {
   }
   const TimeNs phase_dur = rt_.now() - t_begin;
   ph.st.time_total += phase_dur;
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::PhaseEnd, 0, 0, phase_dur);
+  obs::emit(rt_.me(), trace::Ev::PhaseEnd, 0, 0, phase_dur);
   fold_counters(ph.st);
 }
 
@@ -662,7 +655,7 @@ TaskCollection::Pumped TaskCollection::pump(Phase& ph) {
   // time from here (the designated sampler scrapes; everyone else returns
   // after one comparison). Charge-free, so metrics-on traces stay
   // identical to metrics-off. No-op under threads (wall thread).
-  if (SCIOTO_METRICS_ON()) {
+  if (metrics::active()) {
     metrics::monitor_poll(rt_.me(), rt_.now());
   }
   // Control pump: when a controller is armed, run a decision epoch at
@@ -842,8 +835,8 @@ int TaskCollection::steal_retargeting(Phase& ph, Rank& victim) {
                     static_cast<std::uint64_t>(b / 2) + 1));
     rt_.charge(b);
     Rank next = ph.victims.pick(victim);
-    SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::StealRetarget, victim,
-                       next == kNoRank ? victim : next, b);
+    obs::emit(rt_.me(), trace::Ev::StealRetarget, victim,
+              next == kNoRank ? victim : next, b);
     if (next == kNoRank) {
       return 0;
     }
@@ -971,7 +964,7 @@ bool TaskCollection::parked_wait(TcStats& st) {
   int polls = 0;
   bool admitted = false;
   for (;;) {
-    if (SCIOTO_METRICS_ON()) {
+    if (metrics::active()) {
       metrics::monitor_poll(me, rt_.now());
     }
     if (hb_) {
@@ -984,7 +977,7 @@ bool TaskCollection::parked_wait(TcStats& st) {
       aref(my->join_req).store(1, std::memory_order_release);
       requested = true;
       knock = true;
-      SCIOTO_TRACE_EVENT(me, trace::Ev::JoinRequest, me, 0, 0);
+      obs::emit(me, trace::Ev::JoinRequest, me);
     }
     if (requested && (knock || (polls & 7) == 0)) {
       // Ring the admitter's doorbell: OR our rank bit into its knock word
@@ -1106,8 +1099,7 @@ void TaskCollection::elastic_admit_scan() {
   // and the joiners leave parked_wait the moment joined() flips.
   std::uint64_t e = detect::join_ranks(batch);
   for (Rank r : batch) {
-    SCIOTO_TRACE_EVENT(me, trace::Ev::JoinAdmit, r, me,
-                       static_cast<long long>(e));
+    obs::emit(me, trace::Ev::JoinAdmit, r, me, static_cast<std::int64_t>(e));
   }
 }
 
@@ -1187,8 +1179,8 @@ bool TaskCollection::quiesce_and_checkpoint(std::uint64_t gen, TcStats& st) {
     st.time_searching += rt_.now() - t0;
     return false;
   }
-  SCIOTO_TRACE_EVENT(me, trace::Ev::Quiesce, static_cast<long long>(gen),
-                     participants, rt_.now() - t0);
+  obs::emit(me, trace::Ev::Quiesce, static_cast<std::int64_t>(gen),
+            participants, rt_.now() - t0);
   // 4. Serialize: the queue's descriptor span plus the application blob,
   // SHA1-framed so restore rejects torn or truncated part files.
   const std::string base = elastic::ckpt_path();
@@ -1303,9 +1295,9 @@ bool TaskCollection::quiesce_and_checkpoint(std::uint64_t gen, TcStats& st) {
     aref(my->ckpt_done).store(gen, std::memory_order_release);
     elastic::note_checkpoint();
   }
-  SCIOTO_TRACE_EVENT(me, trace::Ev::Checkpoint, static_cast<long long>(gen),
-                     static_cast<long long>(ndesc),
-                     static_cast<long long>(descs.size() + blob.size()));
+  obs::emit(me, trace::Ev::Checkpoint, static_cast<std::int64_t>(gen),
+            static_cast<std::int64_t>(ndesc),
+            static_cast<std::int64_t>(descs.size() + blob.size()));
   st.time_searching += rt_.now() - t0;
   return true;
 }
@@ -1416,8 +1408,8 @@ void TaskCollection::restore_from(const std::string& path) {
         std::memcpy(&rec, scratch.data() + lineage_off_, sizeof(rec));
         rec.hops += 1;
         std::memcpy(scratch.data() + lineage_off_, &rec, sizeof(rec));
-        SCIOTO_TRACE_EVENT(me, trace::Ev::MigrateEdge, src, rec.hops,
-                           rec.id);
+        obs::emit(me, trace::Ev::MigrateEdge, src, rec.hops,
+                  static_cast<std::int64_t>(rec.id));
         desc = scratch.data();
       }
       bool ok = queue_->push_local(desc, kAffinityHigh);
@@ -1440,79 +1432,27 @@ void TaskCollection::restore_from(const std::string& path) {
     td_->mark_self_black();
     queue_->release_maybe();
   }
-  SCIOTO_TRACE_EVENT(me, trace::Ev::Restore,
-                     static_cast<long long>(parts.size()),
-                     static_cast<long long>(restored),
-                     static_cast<long long>(bytes));
+  obs::emit(me, trace::Ev::Restore, static_cast<std::int64_t>(parts.size()),
+            static_cast<std::int64_t>(restored),
+            static_cast<std::int64_t>(bytes));
   if (me == 0) {
     elastic::note_restore();
   }
 }
 
 TcStats TaskCollection::stats_global() {
-  // Element-wise allreduce of the POD counter block.
-  TcStats local = stats_local();
-  TcStats total;
+  // Element-wise allreduce of the counter block, one 8-byte word per field
+  // (a TimeNs sums the same as its two's-complement word).
+  static_assert(std::has_unique_object_representations_v<TcStats>);
+  static_assert(sizeof(TcStats) == kTcStatsWords * 8);
+  using Words = std::array<std::uint64_t, kTcStatsWords>;
+  const Words local = std::bit_cast<Words>(stats_local());
   rt_.barrier();
-  static_assert(std::is_trivially_copyable_v<TcStats>);
-  // Reduce via repeated allreduce_sum of a compact array view.
-  std::uint64_t in[24] = {local.tasks_executed,
-                          local.tasks_spawned_local,
-                          local.tasks_spawned_remote,
-                          local.steals,
-                          local.steal_attempts,
-                          local.tasks_stolen,
-                          local.releases,
-                          local.reacquires,
-                          local.td_waves_voted,
-                          local.td_black_votes,
-                          local.td_marks_sent,
-                          local.td_marks_skipped,
-                          static_cast<std::uint64_t>(local.time_total),
-                          static_cast<std::uint64_t>(local.time_working),
-                          static_cast<std::uint64_t>(local.time_searching),
-                          local.steals_same_node,
-                          local.tasks_recovered,
-                          local.steals_aborted,
-                          local.op_retries,
-                          local.td_resplices,
-                          local.steals_lock_busy,
-                          local.steal_retargets,
-                          local.owner_lock_acqs,
-                          local.reacquires_fast};
-  struct Packed {
-    std::uint64_t v[24];
-  } packed;
-  std::memcpy(packed.v, in, sizeof(in));
-  Packed sum = rt_.allreduce(packed, [](Packed a, const Packed& b) {
-    for (int i = 0; i < 24; ++i) a.v[i] += b.v[i];
+  const Words sum = rt_.allreduce(local, [](Words a, const Words& b) {
+    for (std::size_t i = 0; i < kTcStatsWords; ++i) a[i] += b[i];
     return a;
   });
-  total.tasks_executed = sum.v[0];
-  total.tasks_spawned_local = sum.v[1];
-  total.tasks_spawned_remote = sum.v[2];
-  total.steals = sum.v[3];
-  total.steal_attempts = sum.v[4];
-  total.tasks_stolen = sum.v[5];
-  total.releases = sum.v[6];
-  total.reacquires = sum.v[7];
-  total.td_waves_voted = sum.v[8];
-  total.td_black_votes = sum.v[9];
-  total.td_marks_sent = sum.v[10];
-  total.td_marks_skipped = sum.v[11];
-  total.time_total = static_cast<TimeNs>(sum.v[12]);
-  total.time_working = static_cast<TimeNs>(sum.v[13]);
-  total.time_searching = static_cast<TimeNs>(sum.v[14]);
-  total.steals_same_node = sum.v[15];
-  total.tasks_recovered = sum.v[16];
-  total.steals_aborted = sum.v[17];
-  total.op_retries = sum.v[18];
-  total.td_resplices = sum.v[19];
-  total.steals_lock_busy = sum.v[20];
-  total.steal_retargets = sum.v[21];
-  total.owner_lock_acqs = sum.v[22];
-  total.reacquires_fast = sum.v[23];
-  return total;
+  return std::bit_cast<TcStats>(sum);
 }
 
 }  // namespace scioto

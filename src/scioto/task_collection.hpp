@@ -99,6 +99,9 @@ struct TcStats {
   TimeNs time_working = 0;   // executing task callbacks
   TimeNs time_searching = 0; // stealing + termination detection
 };
+/// TcStats is this many 8-byte counters and nothing else, so
+/// TaskCollection::stats_global() reduces it word by word.
+inline constexpr std::size_t kTcStatsWords = 24;
 
 /// Renders a stats snapshot as a two-column metric/value table, including
 /// derived columns (steal success rate, % of time working/searching).

@@ -5,8 +5,7 @@
 
 #include "detect/membership.hpp"
 #include "fault/fault.hpp"
-#include "metrics/metrics.hpp"
-#include "trace/trace.hpp"
+#include "obs/obs.hpp"
 
 namespace scioto {
 
@@ -110,8 +109,8 @@ void TerminationDetector::maybe_resplice(LocalState& st) {
   st.self_black = !st.join_white;
   st.join_white = false;
   my_counters().resplices++;
-  SCIOTO_TRACE_EVENT(me, trace::Ev::TreeRespliced, static_cast<long long>(e),
-                     static_cast<long long>(st.alive.size()), 0);
+  obs::emit(me, trace::Ev::TreeRespliced, static_cast<std::int64_t>(e),
+            static_cast<std::int64_t>(st.alive.size()));
 }
 
 void TerminationDetector::put_token(Rank target, std::size_t offset,
@@ -120,7 +119,9 @@ void TerminationDetector::put_token(Rank target, std::size_t offset,
   int retries = 0;
   rt_.put_word_reliable(seg_, target, offset, value, width, &retries);
   my_counters().token_retries += static_cast<std::uint64_t>(retries);
-  SCIOTO_TRACE_EVENT(rt_.me(), trace::Ev::TokenSend, target, what, 0);
+  if (obs::on()) {
+    obs::emit(rt_.me(), trace::Ev::TokenSend, target, what);
+  }
 }
 
 void TerminationDetector::reset_local() {
@@ -203,7 +204,7 @@ bool TerminationDetector::poll_term_remote() {
   if (pst != pgas::OpStatus::Dropped && tw != 0) {
     aref(ctl(me).term_wave).store(tw, std::memory_order_relaxed);
     st.terminated = true;
-    SCIOTO_TRACE_EVENT(me, trace::Ev::Terminate, tw, 0, 0);
+    obs::emit(me, trace::Ev::Terminate, static_cast<std::int64_t>(tw));
     return true;
   }
   return false;
@@ -253,7 +254,7 @@ TerminationDetector::Status TerminationDetector::step() {
       }
     }
     st.terminated = true;
-    SCIOTO_TRACE_EVENT(me, trace::Ev::Terminate, tw, 0, 0);
+    obs::emit(me, trace::Ev::Terminate, static_cast<std::int64_t>(tw));
     return Status::Terminated;
   }
 
@@ -265,9 +266,9 @@ TerminationDetector::Status TerminationDetector::step() {
       // Previous wave concluded (or none started): launch the next one.
       ++st.wave_seen;
       my_counters().waves_started++;
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::TdWaves, 1);
-      st.wave_begin = SCIOTO_METRICS_ON() ? rt_.now() : 0;
-      SCIOTO_TRACE_EVENT(me, trace::Ev::WaveStart, st.wave_seen, 0, 0);
+      st.wave = obs::Span();
+      st.wave.emit(me, trace::Ev::WaveStart,
+                   static_cast<std::int64_t>(st.wave_seen));
       for (int s = 0; s < 2; ++s) {
         if (st.kids[s] != kNoRank) {
           put_token(st.kids[s], offsetof(TdCtl, down_wave),
@@ -311,26 +312,22 @@ TerminationDetector::Status TerminationDetector::step() {
       st.self_black = false;
       st.voted_wave = st.wave_seen;
       my_counters().waves_voted++;
-      SCIOTO_METRIC_CTR(me, metrics::Ctr::TdVotes, 1);
       if (black) {
         my_counters().black_votes++;
-        SCIOTO_METRIC_CTR(me, metrics::Ctr::TdBlackVotes, 1);
       }
-      SCIOTO_TRACE_EVENT(me, trace::Ev::Vote, st.wave_seen, black ? 1 : 0, 0);
-      if (root && SCIOTO_METRICS_ON()) {
-        // Root vote closes the wave it launched: wave latency = launch ->
-        // all votes in (the paper's Figure 4 latency, live).
-        metrics::hist_record(me, metrics::Hist::WaveNs,
-                             static_cast<std::uint64_t>(std::max<TimeNs>(
-                                 rt_.now() - st.wave_begin, 0)));
-      }
+      const auto wave = static_cast<std::int64_t>(st.wave_seen);
       if (root) {
+        // The root's vote closes the wave it launched: the span is the
+        // wave latency, launch -> all votes in (the paper's Figure 4
+        // latency, live).
+        st.wave.end(me, trace::Ev::Vote, wave, black ? 1 : 0, 0);
         if (!black) {
           // All-white wave: decide termination and broadcast.
           aref(my.term_wave).store(expected, std::memory_order_release);
         }
         // Black: the next step() launches a fresh wave.
       } else {
+        obs::emit(me, trace::Ev::Vote, wave, black ? 1 : 0);
         put_token(st.parent,
                   offsetof(TdCtl, up) +
                       static_cast<std::size_t>(st.up_slot) *

@@ -41,6 +41,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "obs/obs.hpp"
 #include "pgas/runtime.hpp"
 
 namespace scioto {
@@ -157,8 +158,7 @@ class TerminationDetector {
     // forces a resplice over the alive ranks.
     std::uint64_t epoch_seen = 0;
     std::uint64_t steps = 0;       // poll counter (term-adoption cadence)
-    TimeNs wave_begin = 0;         // root: launch time of the open wave
-                                   // (telemetry only; 0 when metrics off)
+    obs::Span wave;                // root: the open wave, from its launch
     Rank parent = kNoRank;
     int up_slot = 0;               // which of parent's up[] slots is ours
     Rank kids[2] = {kNoRank, kNoRank};

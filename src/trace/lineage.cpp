@@ -1,6 +1,5 @@
 #include "trace/lineage.hpp"
 
-#include <atomic>
 #include <vector>
 
 #include "base/error.hpp"
@@ -22,7 +21,6 @@ struct Session {
   std::vector<PerRank> ranks;
 };
 
-using detail::g_active;
 Session g_session;
 Config g_staged;
 
@@ -36,11 +34,11 @@ void start(int nranks) {
   SCIOTO_REQUIRE(!active(), "lineage session already active");
   SCIOTO_REQUIRE(nranks >= 1, "lineage session needs >= 1 rank");
   g_session.ranks.assign(static_cast<std::size_t>(nranks), PerRank{});
-  g_active.store(true, std::memory_order_release);
+  obs::arm(obs::kLineage);
 }
 
 void stop() {
-  g_active.store(false, std::memory_order_release);
+  obs::disarm(obs::kLineage);
   g_session.ranks.clear();
 }
 

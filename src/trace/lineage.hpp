@@ -43,23 +43,21 @@
 //
 // Gate: the SCIOTO_LINEAGE=1 environment variable (or a caller-started
 // session, e.g. `trace_demo --flow`) arms the hooks at runtime. Off by
-// default; a disarmed hook costs one predicted-false branch.
+// default. The session flag is the kLineage bit of the one armed word
+// (obs/armed.hpp), but the descriptor paths never test it per operation:
+// a task collection reads it once, at construction, into its trailer
+// offset, and the hooks check that offset. The three lineage events are
+// ordinary obs:: probes, recorded only while a trace session is armed.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
 
 #include "base/types.hpp"
+#include "obs/armed.hpp"
 
 namespace scioto::trace::lineage {
-
-namespace detail {
-// The session flag behind active(), inline so every probe site reads it
-// without a call. Only start()/stop() store it (release order).
-inline std::atomic<bool> g_active{false};
-}  // namespace detail
 
 /// The causal record carried in each task descriptor's trailer.
 struct LineageRec {
@@ -96,12 +94,10 @@ struct Config {
 Config config();
 void set_config(const Config& cfg);
 
-/// True between start() and stop(). One relaxed atomic load; every
-/// descriptor-path hook checks this (via TaskCollection's cached trailer
-/// offset) before paying for the stamp.
-inline bool active() {
-  return detail::g_active.load(std::memory_order_relaxed);
-}
+/// True between start() and stop(): the kLineage bit of the armed word.
+/// Every descriptor-path hook checks this through TaskCollection's cached
+/// trailer offset, not per operation.
+inline bool active() { return (obs::armed() & obs::kLineage) != 0; }
 
 /// Allocates per-rank id counters and arms the session. Must bracket the
 /// SPMD region like trace::start: task collections size their slots for

@@ -15,10 +15,13 @@
 // Benches expose this as --trace=FILE; pgas::run_spmd also honours the
 // SCIOTO_TRACE_OUT environment variable so any binary can be traced
 // without code changes (capacity via SCIOTO_TRACE_CAP, events per rank).
-// The session flag is the only off-switch: active() is an inline relaxed
-// load, so a disarmed probe costs one predicted-false branch and no call.
+// The session is the only off-switch. Its flag is the kTrace bit of the
+// one armed word (obs/armed.hpp); runtime code never calls record()
+// directly but reports each occurrence through one obs:: probe
+// (obs/obs.hpp), which reads that word once and, armed, feeds this ring
+// and the metrics plane from the same event.
 //
-// Recording an event is one branch, one clock read, and one 32-byte store
+// Recording an event is one clock read and one 32-byte store
 // into the recording rank's own ring -- no locks, no allocation. When a
 // ring wraps, the oldest events are overwritten and counted as dropped
 // (the exporter reports the drop count rather than silently truncating).
@@ -28,20 +31,15 @@
 // exported traces (locked in by tests/test_trace.cpp).
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "base/types.hpp"
+#include "obs/armed.hpp"
 
 namespace scioto::trace {
-
-namespace detail {
-// The session flag behind active(), inline so every probe site reads it
-// without a call. Only start()/stop() store it (release order).
-inline std::atomic<bool> g_active{false};
-}  // namespace detail
 
 /// Typed event kinds. The payload fields a/b/c are per-kind (documented
 /// inline); `dur`-style payloads are durations in nanoseconds carried in c.
@@ -114,6 +112,11 @@ enum class Ev : std::uint8_t {
                   //   span's duration is the paired TaskEnd's)
 };
 
+/// Number of event kinds: the size of every per-kind table (ev_name's and
+/// the obs event->metric table).
+inline constexpr std::size_t kNumEv =
+    static_cast<std::size_t>(Ev::ExecSpan) + 1;
+
 /// Human-readable kind name (used by the exporter and analyses).
 const char* ev_name(Ev kind);
 
@@ -164,11 +167,8 @@ class Sink {
 // after they finish. Each rank records into its own Sink, so concurrent
 // recording under the threads backend is contention-free.
 
-/// True between start() and stop(). One relaxed atomic load; the
-/// SCIOTO_TRACE_EVENT macro checks this before paying for a clock read.
-inline bool active() {
-  return detail::g_active.load(std::memory_order_relaxed);
-}
+/// True between start() and stop(): the kTrace bit of the armed word.
+inline bool active() { return (obs::armed() & obs::kTrace) != 0; }
 
 /// Allocates per-rank rings and begins recording. `capacity_per_rank` of 0
 /// selects the default (SCIOTO_TRACE_CAP env var, else 1<<15 events).
@@ -208,15 +208,3 @@ std::uint64_t dropped(Rank rank);
 std::size_t default_capacity();
 
 }  // namespace scioto::trace
-
-// Instrumentation macro: one predicted-false branch when no session is
-// active; the payload arguments are evaluated only inside an armed session.
-#define SCIOTO_TRACE_EVENT(rank, kind, a, b, c)                            \
-  do {                                                                     \
-    if (::scioto::trace::active()) {                                       \
-      ::scioto::trace::record((rank), (kind),                              \
-                              static_cast<std::int32_t>(a),                \
-                              static_cast<std::int32_t>(b),                \
-                              static_cast<std::int64_t>(c));               \
-    }                                                                      \
-  } while (0)

@@ -2,21 +2,26 @@
 // percentile helpers it shares with the trace analyses, the seqlock
 // scrape protocol under concurrent writers, the zero-cost-off guarantee
 // (metrics-off traces identical to baseline), metrics-on sim determinism,
-// the three-way reconciliation metrics == TcStats == trace on a fixed-seed
-// UTS run over both backends, and the C API surface.
+// the three-way reconciliation metrics == TcStats == trace (every row of
+// the obs event->metric table, on UTS over both backends, UTS under a rank
+// kill and a Cholesky DAG run), and the C API surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "apps/cholesky/cholesky.hpp"
 #include "apps/uts/uts_drivers.hpp"
 #include "base/stats.hpp"
+#include "fault/fault.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/monitor.hpp"
+#include "obs/obs.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -281,28 +286,150 @@ TEST(MetricsOn, SimDeterministicAcrossRepeats) {
 }
 
 // ---- Three-way reconciliation: metrics == TcStats == trace ----
+//
+// Every row of the obs event->metric table is checked against the recorded
+// trace: the fleet counter a row feeds equals the sum of the row's payload
+// over the events of that kind (summed over every row feeding it). The
+// one exception named in the table's comment -- PgasPuts/PgasPutBytes,
+// also counted by put_word_reliable's control words, which record no
+// event -- is checked as >=. Histograms fed from a payload match count
+// and sum; duration histograms take one sample per event, except WaveNs,
+// which only the root's vote feeds.
 
-class MetricsReconcile
-    : public ::testing::TestWithParam<pgas::BackendKind> {};
+enum class Workload { Uts, UtsKill, Cholesky };
 
-TEST_P(MetricsReconcile, UtsCountersAgreeWithTcStatsAndTrace) {
-  const int nranks = 4;
-  apps::UtsParams tree = apps::uts_tiny();
+struct ReconcileCase {
+  const char* name;
+  pgas::BackendKind backend;
+  Workload workload;
+};
+
+class MetricsReconcile : public ::testing::TestWithParam<ReconcileCase> {};
+
+void expect_table_reconciles(const std::vector<metrics::Snapshot>& snaps,
+                             const std::vector<trace::Event>& evs) {
+  const std::span<const obs::Row> rows = obs::rows();
+  std::uint64_t want[metrics::kNumCtrs] = {};
+  bool fed[metrics::kNumCtrs] = {};
+  std::uint64_t hist_n[metrics::kNumHists] = {};
+  std::uint64_t hist_sum[metrics::kNumHists] = {};
+  std::vector<std::uint64_t> per_kind(rows.size(), 0);
+  for (const obs::Row& row : rows) {
+    for (int i = 0; i < 2; ++i) {
+      if (row.src[i] != obs::Src::None) {
+        fed[static_cast<int>(row.ctr[i])] = true;
+      }
+    }
+  }
+  for (const trace::Event& e : evs) {
+    const auto k = static_cast<std::size_t>(e.kind);
+    const obs::Row& row = rows[k];
+    ++per_kind[k];
+    for (int i = 0; i < 2; ++i) {
+      if (row.src[i] != obs::Src::None) {
+        want[static_cast<int>(row.ctr[i])] += obs::value(row.src[i], e);
+      }
+    }
+    if (row.hist_src == obs::Src::C) {
+      ++hist_n[static_cast<int>(row.hist)];
+      hist_sum[static_cast<int>(row.hist)] += obs::value(obs::Src::C, e);
+    }
+  }
+  for (int c = 0; c < metrics::kNumCtrs; ++c) {
+    if (!fed[c]) continue;
+    const auto ctr = static_cast<metrics::Ctr>(c);
+    const std::uint64_t got = fleet_ctr(snaps, ctr);
+    if (ctr == metrics::Ctr::PgasPuts || ctr == metrics::Ctr::PgasPutBytes) {
+      EXPECT_GE(got, want[c]) << metrics::ctr_name(ctr);
+    } else {
+      EXPECT_EQ(got, want[c]) << metrics::ctr_name(ctr);
+    }
+  }
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const obs::Row& row = rows[k];
+    if (row.hist_src == obs::Src::None) continue;
+    const int h = static_cast<int>(row.hist);
+    std::uint64_t count = 0, sum = 0;
+    for (const auto& s : snaps) {
+      count += s.hists[h].count;
+      sum += s.hists[h].sum;
+    }
+    const char* name = metrics::hist_name(row.hist);
+    if (row.hist_src == obs::Src::C) {
+      EXPECT_EQ(count, hist_n[h]) << name;
+      EXPECT_EQ(sum, hist_sum[h]) << name;
+    } else if (row.hist == metrics::Hist::WaveNs) {
+      EXPECT_LE(count, per_kind[k]) << name;
+    } else {
+      EXPECT_EQ(count, per_kind[k]) << name;
+    }
+  }
+}
+
+TEST_P(MetricsReconcile, EveryTableRowAgreesWithTheTrace) {
+  const ReconcileCase& tc = GetParam();
+  const int nranks = tc.workload == Workload::Uts ? 4 : 8;
+  apps::UtsParams tree = tc.workload == Workload::UtsKill ? apps::uts_small()
+                                                          : apps::uts_tiny();
   apps::UtsRunConfig rc;
   rc.chunk = 2;
 
-  trace::start(nranks);
+  if (tc.workload == Workload::UtsKill) {
+    fault::start(nranks, fault::FaultPlan::parse("kill:rank=1,at=2ms"), 42);
+  }
+  trace::start(nranks, std::size_t{1} << 18);
   metrics::start(nranks);
   apps::UtsResult res;
-  run(nranks, GetParam(), [&](pgas::Runtime& rt) {
-    apps::UtsResult r = apps::uts_run_scioto(rt, tree, rc);
+  apps::CholeskyResult chol;
+  pgas::Config cfg = make_cfg(nranks, tc.backend);
+  if (tc.workload == Workload::UtsKill) {
+    cfg.machine = sim::cluster2008();  // slow enough for the kill to land
+  }
+  pgas::run_spmd(cfg, [&](pgas::Runtime& rt) {
+    if (tc.workload == Workload::Cholesky) {
+      apps::CholeskyConfig cc;
+      cc.tiles = 8;
+      cc.tile = 16;
+      apps::CholeskyResult r = apps::cholesky_dag(rt, cc);
+      if (rt.me() == 0) chol = r;
+      return;
+    }
+    apps::UtsResult r = tc.workload == Workload::UtsKill
+                            ? apps::uts_run_scioto_ft(rt, tree, rc)
+                            : apps::uts_run_scioto(rt, tree, rc);
     if (rt.me() == 0) res = r;
   });
   std::vector<metrics::Snapshot> snaps = scrape_all(nranks);
   metrics::stop();
+  ASSERT_EQ(trace::total_dropped(), 0u);
   std::vector<trace::Event> evs = trace::all_events();
   trace::stop();
+  if (tc.workload == Workload::UtsKill) {
+    fault::stop();
+    EXPECT_EQ(res.survivors, nranks - 1);
+    EXPECT_GT(fleet_ctr(snaps, metrics::Ctr::TasksRecovered), 0u);
+  }
 
+  expect_table_reconciles(snaps, evs);
+
+  if (tc.workload == Workload::Cholesky) {
+    // DagStats vs metrics counters: the increments sit at the same sites.
+    const dag::DagStats& g = chol.dag;
+    EXPECT_EQ(g.nodes_fired, g.nodes_run);  // every fired node ran
+    EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::DagNodesRun), g.nodes_run);
+    EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::DagNodesFired), g.nodes_fired);
+    EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::DagRemoteFires), g.remote_fires);
+    EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::DagConflictRetries),
+              g.conflict_retries);
+    EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::DagVersionWaits),
+              g.version_waits);
+    return;
+  }
+  // The run's own exact node count comes out of the traced, metered run.
+  EXPECT_TRUE(res.counts == apps::uts_sequential(tree));
+  if (tc.workload == Workload::UtsKill) {
+    return;  // TcStats sum the survivors only; the dead rank's patch stays
+  }
   // Metrics counters vs the scheduler's own TcStats: the increments sit at
   // the same sites, so the totals must agree exactly on both backends.
   EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::TasksExecuted),
@@ -317,11 +444,6 @@ TEST_P(MetricsReconcile, UtsCountersAgreeWithTcStatsAndTrace) {
             res.stats.tasks_spawned_local + res.stats.tasks_spawned_remote);
 
   // ... and vs the trace stream's independent record of the same run.
-  std::uint64_t trace_exec = 0;
-  for (const trace::Event& e : evs) {
-    if (e.kind == trace::Ev::TaskEnd) ++trace_exec;
-  }
-  EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::TasksExecuted), trace_exec);
   trace::StealMatrix sm = trace::steal_matrix(evs, nranks);
   EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::Steals), sm.total_steals());
   EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::TasksStolen), sm.total_tasks());
@@ -334,12 +456,17 @@ TEST_P(MetricsReconcile, UtsCountersAgreeWithTcStatsAndTrace) {
   EXPECT_EQ(hist_exec, res.stats.tasks_executed);
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, MetricsReconcile,
-                         ::testing::Values(pgas::BackendKind::Sim,
-                                           pgas::BackendKind::Threads),
-                         [](const auto& info) {
-                           return backend_name(info.param);
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, MetricsReconcile,
+    ::testing::Values(
+        ReconcileCase{"UtsSim", pgas::BackendKind::Sim, Workload::Uts},
+        ReconcileCase{"UtsThreads", pgas::BackendKind::Threads, Workload::Uts},
+        ReconcileCase{"UtsKillSim", pgas::BackendKind::Sim, Workload::UtsKill},
+        ReconcileCase{"CholeskySim", pgas::BackendKind::Sim,
+                      Workload::Cholesky},
+        ReconcileCase{"CholeskyThreads", pgas::BackendKind::Threads,
+                      Workload::Cholesky}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 // ---- Monitor aggregates ----
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <string>
@@ -219,6 +220,72 @@ TEST_P(TcBackends, StatsAreConsistent) {
     EXPECT_GE(g.time_total, g.time_working);
     // working and searching are disjoint sub-intervals of the phase.
     EXPECT_GE(g.time_total, g.time_working + g.time_searching);
+    tc.destroy();
+  });
+}
+
+// Every TcStats field by name; the count check fails to compile when a
+// field is added to TcStats but not here.
+#define SCIOTO_TC_STATS_FIELDS(X)                                       \
+  X(tasks_executed) X(tasks_spawned_local) X(tasks_spawned_remote)     \
+  X(steals) X(steals_same_node) X(steal_attempts) X(tasks_stolen)      \
+  X(releases) X(reacquires) X(td_waves_voted) X(td_black_votes)        \
+  X(td_marks_sent) X(td_marks_skipped) X(tasks_recovered)              \
+  X(steals_aborted) X(op_retries) X(td_resplices) X(steals_lock_busy)  \
+  X(steal_retargets) X(owner_lock_acqs) X(reacquires_fast)             \
+  X(time_total) X(time_working) X(time_searching)
+#define SCIOTO_ONE(f) +1
+static_assert(0 SCIOTO_TC_STATS_FIELDS(SCIOTO_ONE) == kTcStatsWords);
+#undef SCIOTO_ONE
+
+TEST_P(TcBackends, StatsGlobalSumsEveryFieldOfEveryRank) {
+  testing::run(4, GetParam(), [&](Runtime& rt) {
+    TaskCollection tc(rt, small_cfg());
+    struct Body {
+      int depth;
+    };
+    TaskHandle h = tc.register_callback([](TaskContext& ctx) {
+      ctx.tc.runtime().charge(us(2));
+      int d = ctx.body_as<Body>().depth;
+      if (d > 0) {
+        Task child = ctx.tc.task_create(sizeof(Body), ctx.header.callback);
+        child.body_as<Body>().depth = d - 1;
+        ctx.tc.add_local(child);
+        ctx.tc.add_local(child, kAffinityLow);
+        Rank other = (ctx.executing_rank + 1) % ctx.tc.runtime().nprocs();
+        if (d % 3 == 0) ctx.tc.add(other, kAffinityHigh, child);
+      }
+    });
+    if (rt.me() == 0) {
+      Task t = tc.task_create(sizeof(Body), h);
+      t.body_as<Body>().depth = 8;
+      tc.add_local(t);
+    }
+    tc.process();
+
+    // Every rank's local block, gathered through a segment.
+    pgas::SegId seg = rt.seg_alloc(sizeof(TcStats));
+    const TcStats mine = tc.stats_local();
+    std::memcpy(rt.seg_ptr(seg, rt.me()), static_cast<const void*>(&mine),
+                sizeof(mine));
+    rt.barrier();
+    TcStats want;
+    for (Rank r = 0; r < rt.nprocs(); ++r) {
+      TcStats s;
+      std::memcpy(static_cast<void*>(&s), rt.seg_ptr(seg, r), sizeof(s));
+#define SCIOTO_ADD(f) want.f += s.f;
+      SCIOTO_TC_STATS_FIELDS(SCIOTO_ADD)
+#undef SCIOTO_ADD
+    }
+    const TcStats g = tc.stats_global();
+#define SCIOTO_EXPECT_SUM(f) EXPECT_EQ(g.f, want.f) << #f;
+    SCIOTO_TC_STATS_FIELDS(SCIOTO_EXPECT_SUM)
+#undef SCIOTO_EXPECT_SUM
+    // The workload moves work every way the counters see.
+    EXPECT_GT(g.tasks_spawned_remote, 0u);
+    EXPECT_GT(g.owner_lock_acqs, 0u);
+    EXPECT_GT(g.td_waves_voted, 0u);
+    rt.seg_free(seg);
     tc.destroy();
   });
 }
