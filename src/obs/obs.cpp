@@ -69,10 +69,6 @@ constexpr Table make_table() {
 
 constexpr Table kTable = make_table();
 
-}  // namespace
-
-std::span<const Row> rows() { return kTable; }
-
 std::uint64_t value(Src s, const trace::Event& e) {
   switch (s) {
     case Src::None:
@@ -93,6 +89,10 @@ std::uint64_t value(Src s, const trace::Event& e) {
   }
   return 0;
 }
+
+}  // namespace
+
+std::span<const Row> rows() { return kTable; }
 
 void record(Rank r, Ev kind, std::int64_t a, std::int64_t b, std::int64_t c,
             TimeNs dur) {

@@ -120,8 +120,4 @@ struct Row {
 /// The table, indexed by trace::Ev.
 std::span<const Row> rows();
 
-/// The value `s` takes from a recorded event (Src::Dur reads 0: the
-/// duration is not part of the event).
-std::uint64_t value(Src s, const trace::Event& e);
-
 }  // namespace scioto::obs

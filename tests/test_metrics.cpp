@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <ostream>
 #include <span>
 #include <string>
 #include <thread>
@@ -298,11 +299,36 @@ TEST(MetricsOn, SimDeterministicAcrossRepeats) {
 
 enum class Workload { Uts, UtsKill, Cholesky };
 
+/// What a table update reads from one recorded event (Src::Dur is not
+/// part of the event).
+std::uint64_t payload(obs::Src s, const trace::Event& e) {
+  switch (s) {
+    case obs::Src::One:
+      return 1;
+    case obs::Src::A:
+      return static_cast<std::uint64_t>(e.a);
+    case obs::Src::B:
+      return static_cast<std::uint64_t>(e.b);
+    case obs::Src::C:
+      return static_cast<std::uint64_t>(e.c);
+    case obs::Src::NotB:
+      return e.b == 0 ? 1 : 0;
+    case obs::Src::OtherRank:
+      return e.b != e.rank ? 1 : 0;
+    case obs::Src::None:
+    case obs::Src::Dur:
+      break;
+  }
+  return 0;
+}
+
 struct ReconcileCase {
   const char* name;
   pgas::BackendKind backend;
   Workload workload;
 };
+
+void PrintTo(const ReconcileCase& c, std::ostream* os) { *os << c.name; }
 
 class MetricsReconcile : public ::testing::TestWithParam<ReconcileCase> {};
 
@@ -327,12 +353,12 @@ void expect_table_reconciles(const std::vector<metrics::Snapshot>& snaps,
     ++per_kind[k];
     for (int i = 0; i < 2; ++i) {
       if (row.src[i] != obs::Src::None) {
-        want[static_cast<int>(row.ctr[i])] += obs::value(row.src[i], e);
+        want[static_cast<int>(row.ctr[i])] += payload(row.src[i], e);
       }
     }
     if (row.hist_src == obs::Src::C) {
       ++hist_n[static_cast<int>(row.hist)];
-      hist_sum[static_cast<int>(row.hist)] += obs::value(obs::Src::C, e);
+      hist_sum[static_cast<int>(row.hist)] += payload(obs::Src::C, e);
     }
   }
   for (int c = 0; c < metrics::kNumCtrs; ++c) {
