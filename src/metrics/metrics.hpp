@@ -35,8 +35,9 @@
 // tests/test_metrics.cpp).
 //
 // Determinism: recording never reads a clock by itself -- durations are
-// handed in by obs::Span, which only takes timestamps when armed, and the monitor samples in virtual time under sim --
-// so metrics-on sim runs are bit-deterministic.
+// handed in by obs::Span, which takes timestamps only when armed, and the
+// monitor samples in virtual time under sim -- so metrics-on sim runs are
+// bit-deterministic.
 #pragma once
 
 #include <cstdint>

@@ -21,8 +21,8 @@
 // (obs/obs.hpp), which reads that word once and, armed, feeds this ring
 // and the metrics plane from the same event.
 //
-// Recording an event is one clock read and one 32-byte store
-// into the recording rank's own ring -- no locks, no allocation. When a
+// Recording an event is one clock read and one 32-byte store into the
+// recording rank's own ring -- no locks, no allocation. When a
 // ring wraps, the oldest events are overwritten and counted as dropped
 // (the exporter reports the drop count rather than silently truncating).
 //

@@ -337,9 +337,6 @@ void expect_table_reconciles(const std::vector<metrics::Snapshot>& snaps,
   const std::span<const obs::Row> rows = obs::rows();
   std::uint64_t want[metrics::kNumCtrs] = {};
   bool fed[metrics::kNumCtrs] = {};
-  std::uint64_t hist_n[metrics::kNumHists] = {};
-  std::uint64_t hist_sum[metrics::kNumHists] = {};
-  std::vector<std::uint64_t> per_kind(rows.size(), 0);
   for (const obs::Row& row : rows) {
     for (int i = 0; i < 2; ++i) {
       if (row.src[i] != obs::Src::None) {
@@ -347,18 +344,15 @@ void expect_table_reconciles(const std::vector<metrics::Snapshot>& snaps,
       }
     }
   }
+  // Per kind: events, and the sum of their payload c.
+  std::vector<std::uint64_t> n(rows.size(), 0), c_sum(rows.size(), 0);
   for (const trace::Event& e : evs) {
     const auto k = static_cast<std::size_t>(e.kind);
-    const obs::Row& row = rows[k];
-    ++per_kind[k];
+    ++n[k];
+    c_sum[k] += payload(obs::Src::C, e);
     for (int i = 0; i < 2; ++i) {
-      if (row.src[i] != obs::Src::None) {
-        want[static_cast<int>(row.ctr[i])] += payload(row.src[i], e);
-      }
-    }
-    if (row.hist_src == obs::Src::C) {
-      ++hist_n[static_cast<int>(row.hist)];
-      hist_sum[static_cast<int>(row.hist)] += payload(obs::Src::C, e);
+      if (rows[k].src[i] == obs::Src::None) continue;
+      want[static_cast<int>(rows[k].ctr[i])] += payload(rows[k].src[i], e);
     }
   }
   for (int c = 0; c < metrics::kNumCtrs; ++c) {
@@ -374,20 +368,19 @@ void expect_table_reconciles(const std::vector<metrics::Snapshot>& snaps,
   for (std::size_t k = 0; k < rows.size(); ++k) {
     const obs::Row& row = rows[k];
     if (row.hist_src == obs::Src::None) continue;
-    const int h = static_cast<int>(row.hist);
     std::uint64_t count = 0, sum = 0;
     for (const auto& s : snaps) {
-      count += s.hists[h].count;
-      sum += s.hists[h].sum;
+      count += s.hist(row.hist).count;
+      sum += s.hist(row.hist).sum;
     }
     const char* name = metrics::hist_name(row.hist);
-    if (row.hist_src == obs::Src::C) {
-      EXPECT_EQ(count, hist_n[h]) << name;
-      EXPECT_EQ(sum, hist_sum[h]) << name;
-    } else if (row.hist == metrics::Hist::WaveNs) {
-      EXPECT_LE(count, per_kind[k]) << name;
+    if (row.hist == metrics::Hist::WaveNs) {
+      EXPECT_LE(count, n[k]) << name;
     } else {
-      EXPECT_EQ(count, per_kind[k]) << name;
+      EXPECT_EQ(count, n[k]) << name;
+    }
+    if (row.hist_src == obs::Src::C) {
+      EXPECT_EQ(sum, c_sum[k]) << name;
     }
   }
 }
