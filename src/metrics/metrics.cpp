@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <mutex>
 #include <vector>
 
@@ -13,41 +12,82 @@
 namespace scioto::metrics {
 
 const char* ctr_name(Ctr c) {
-  // In enum order.
-  static constexpr const char* kNames[] = {
-      "tasks_executed", "tasks_spawned", "remote_spawns", "q_pushes", "q_pops",
-      "q_releases", "q_released_tasks", "q_reacquires", "q_reacquired_tasks",
-      "steal_attempts", "steals", "steal_fails", "tasks_stolen", "td_votes",
-      "td_black_votes", "td_waves", "probes", "heartbeats", "suspects",
-      "refutes", "confirms", "op_retries", "tasks_recovered", "pgas_gets",
-      "pgas_puts", "pgas_accs", "pgas_rmws", "pgas_get_bytes",
-      "pgas_put_bytes", "dag_nodes_run", "dag_nodes_fired",
-      "dag_conflict_retries", "dag_version_waits", "dag_remote_fires",
-      "steal_lock_busy", "ctl_epochs", "ctl_decisions", "ctl_inherits"};
-  static_assert(std::size(kNames) == kNumCtrs);
-  const int i = static_cast<int>(c);
-  return i >= 0 && i < kNumCtrs ? kNames[i] : "?";
+  switch (c) {
+    case Ctr::TasksExecuted:    return "tasks_executed";
+    case Ctr::TasksSpawned:     return "tasks_spawned";
+    case Ctr::RemoteSpawns:     return "remote_spawns";
+    case Ctr::QPushes:          return "q_pushes";
+    case Ctr::QPops:            return "q_pops";
+    case Ctr::QReleases:        return "q_releases";
+    case Ctr::QReleasedTasks:   return "q_released_tasks";
+    case Ctr::QReacquires:      return "q_reacquires";
+    case Ctr::QReacquiredTasks: return "q_reacquired_tasks";
+    case Ctr::StealAttempts:    return "steal_attempts";
+    case Ctr::Steals:           return "steals";
+    case Ctr::StealFails:       return "steal_fails";
+    case Ctr::TasksStolen:      return "tasks_stolen";
+    case Ctr::TdVotes:          return "td_votes";
+    case Ctr::TdBlackVotes:     return "td_black_votes";
+    case Ctr::TdWaves:          return "td_waves";
+    case Ctr::Probes:           return "probes";
+    case Ctr::Heartbeats:       return "heartbeats";
+    case Ctr::Suspects:         return "suspects";
+    case Ctr::Refutes:          return "refutes";
+    case Ctr::Confirms:         return "confirms";
+    case Ctr::OpRetries:        return "op_retries";
+    case Ctr::TasksRecovered:   return "tasks_recovered";
+    case Ctr::PgasGets:         return "pgas_gets";
+    case Ctr::PgasPuts:         return "pgas_puts";
+    case Ctr::PgasAccs:         return "pgas_accs";
+    case Ctr::PgasRmws:         return "pgas_rmws";
+    case Ctr::PgasGetBytes:     return "pgas_get_bytes";
+    case Ctr::PgasPutBytes:     return "pgas_put_bytes";
+    case Ctr::DagNodesRun:      return "dag_nodes_run";
+    case Ctr::DagNodesFired:    return "dag_nodes_fired";
+    case Ctr::DagConflictRetries: return "dag_conflict_retries";
+    case Ctr::DagVersionWaits:  return "dag_version_waits";
+    case Ctr::DagRemoteFires:   return "dag_remote_fires";
+    case Ctr::StealLockBusy:    return "steal_lock_busy";
+    case Ctr::CtlEpochs:        return "ctl_epochs";
+    case Ctr::CtlDecisions:     return "ctl_decisions";
+    case Ctr::CtlInherits:      return "ctl_inherits";
+    case Ctr::kCount:           break;
+  }
+  return "?";
 }
 
 const char* gauge_name(Gauge g) {
-  // In enum order.
-  static constexpr const char* kNames[] = {
-      "queue_depth", "queue_shared", "queue_split", "alive_view",
-      "suspects_view", "dag_parked", "dag_depth_max", "ctl_chunk",
-      "ctl_steal_half", "ctl_release", "ctl_retarget", "ctl_victim_set"};
-  static_assert(std::size(kNames) == kNumGauges);
-  const int i = static_cast<int>(g);
-  return i >= 0 && i < kNumGauges ? kNames[i] : "?";
+  switch (g) {
+    case Gauge::QueueDepth:   return "queue_depth";
+    case Gauge::QueueShared:  return "queue_shared";
+    case Gauge::QueueSplit:   return "queue_split";
+    case Gauge::AliveView:    return "alive_view";
+    case Gauge::SuspectsView: return "suspects_view";
+    case Gauge::DagParked:    return "dag_parked";
+    case Gauge::DagDepthMax:  return "dag_depth_max";
+    case Gauge::CtlChunk:     return "ctl_chunk";
+    case Gauge::CtlStealHalf: return "ctl_steal_half";
+    case Gauge::CtlRelease:   return "ctl_release";
+    case Gauge::CtlRetarget:  return "ctl_retarget";
+    case Gauge::CtlVictimSet: return "ctl_victim_set";
+    case Gauge::kCount:       break;
+  }
+  return "?";
 }
 
 const char* hist_name(Hist h) {
-  // In enum order.
-  static constexpr const char* kNames[] = {
-      "task_exec_ns", "search_ns", "push_ns", "pop_ns", "steal_ns", "wave_ns",
-      "probe_rtt_ns", "dag_node_depth"};
-  static_assert(std::size(kNames) == kNumHists);
-  const int i = static_cast<int>(h);
-  return i >= 0 && i < kNumHists ? kNames[i] : "?";
+  switch (h) {
+    case Hist::TaskExecNs:  return "task_exec_ns";
+    case Hist::SearchNs:    return "search_ns";
+    case Hist::PushNs:      return "push_ns";
+    case Hist::PopNs:       return "pop_ns";
+    case Hist::StealNs:     return "steal_ns";
+    case Hist::WaveNs:      return "wave_ns";
+    case Hist::ProbeRttNs:  return "probe_rtt_ns";
+    case Hist::DagNodeDepth: return "dag_node_depth";
+    case Hist::kCount:      break;
+  }
+  return "?";
 }
 
 namespace {
@@ -71,8 +111,7 @@ inline std::uint64_t* patch(Rank r) {
 }
 
 inline bool in_session(Rank r) {
-  return active() && r >= 0 &&
-         r < g_session.nranks;
+  return active() && r >= 0 && r < g_session.nranks;
 }
 
 // Seqlock write side. Each rank is the sole writer of its own patch, so

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <iterator>
 #include <memory>
 
 #include "base/error.hpp"
@@ -12,20 +11,99 @@
 namespace scioto::trace {
 
 const char* ev_name(Ev kind) {
-  // In Ev order; TaskBegin/TaskEnd and PhaseBegin/PhaseEnd share a slice.
-  static constexpr const char* kNames[] = {
-      "task", "task", "push", "pop", "release", "reacquire", "steal_attempt",
-      "steal", "steal_fail", "remote_add", "token", "vote", "wave",
-      "terminate", "put", "get", "acc", "rmw", "barrier", "search",
-      "tc_process", "tc_process", "fault_injected", "steal_aborted",
-      "task_recovered", "tree_respliced", "steal_busy", "steal_retarget",
-      "reacquire_fast", "suspect", "refute", "confirm_dead", "fence_abort",
-      "node_ready", "node_run", "conflict_retry", "knob_change",
-      "join_request", "join_admit", "quiesce", "checkpoint", "restore",
-      "spawn_edge", "migrate_edge", "exec_span"};
-  static_assert(std::size(kNames) == kNumEv);
-  const auto i = static_cast<std::size_t>(kind);
-  return i < kNumEv ? kNames[i] : "?";
+  switch (kind) {
+    case Ev::TaskBegin:
+      return "task";
+    case Ev::TaskEnd:
+      return "task";
+    case Ev::Push:
+      return "push";
+    case Ev::Pop:
+      return "pop";
+    case Ev::Release:
+      return "release";
+    case Ev::Reacquire:
+      return "reacquire";
+    case Ev::StealAttempt:
+      return "steal_attempt";
+    case Ev::StealOk:
+      return "steal";
+    case Ev::StealFail:
+      return "steal_fail";
+    case Ev::RemoteAdd:
+      return "remote_add";
+    case Ev::TokenSend:
+      return "token";
+    case Ev::Vote:
+      return "vote";
+    case Ev::WaveStart:
+      return "wave";
+    case Ev::Terminate:
+      return "terminate";
+    case Ev::PgasPut:
+      return "put";
+    case Ev::PgasGet:
+      return "get";
+    case Ev::PgasAcc:
+      return "acc";
+    case Ev::PgasRmw:
+      return "rmw";
+    case Ev::Barrier:
+      return "barrier";
+    case Ev::Search:
+      return "search";
+    case Ev::PhaseBegin:
+      return "tc_process";
+    case Ev::PhaseEnd:
+      return "tc_process";
+    case Ev::FaultInjected:
+      return "fault_injected";
+    case Ev::StealAborted:
+      return "steal_aborted";
+    case Ev::TaskRecovered:
+      return "task_recovered";
+    case Ev::TreeRespliced:
+      return "tree_respliced";
+    case Ev::StealBusy:
+      return "steal_busy";
+    case Ev::StealRetarget:
+      return "steal_retarget";
+    case Ev::ReacquireFast:
+      return "reacquire_fast";
+    case Ev::Suspect:
+      return "suspect";
+    case Ev::Refute:
+      return "refute";
+    case Ev::ConfirmDead:
+      return "confirm_dead";
+    case Ev::FenceAbort:
+      return "fence_abort";
+    case Ev::NodeReady:
+      return "node_ready";
+    case Ev::NodeRun:
+      return "node_run";
+    case Ev::ConflictRetry:
+      return "conflict_retry";
+    case Ev::KnobChange:
+      return "knob_change";
+    case Ev::JoinRequest:
+      return "join_request";
+    case Ev::JoinAdmit:
+      return "join_admit";
+    case Ev::Quiesce:
+      return "quiesce";
+    case Ev::Checkpoint:
+      return "checkpoint";
+    case Ev::Restore:
+      return "restore";
+    case Ev::SpawnEdge:
+      return "spawn_edge";
+    case Ev::MigrateEdge:
+      return "migrate_edge";
+    case Ev::ExecSpan:
+      return "exec_span";
+  }
+  return "?";
 }
 
 Sink::Sink(std::size_t capacity)

@@ -112,8 +112,8 @@ enum class Ev : std::uint8_t {
                   //   span's duration is the paired TaskEnd's)
 };
 
-/// Number of event kinds: the size of every per-kind table (ev_name's and
-/// the obs event->metric table).
+/// Number of event kinds, ExecSpan being the last: the size of the obs
+/// event->metric table. A kind appended after ExecSpan must move this.
 inline constexpr std::size_t kNumEv =
     static_cast<std::size_t>(Ev::ExecSpan) + 1;
 

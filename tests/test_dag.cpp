@@ -3,9 +3,9 @@
 // mutual exclusion; remote data-version RAW safety; streaming (recursive)
 // graph build; manual satisfy() joins; cycle reporting with node ids;
 // argument validation; release order = add_edge order; 8-seed sim
-// determinism; and composition with the fail-stop kill/adoption path.
-// The three-way reconciliation DagStats == metrics == trace is
-// test_metrics' MetricsReconcile (its Cholesky cases).
+// determinism; composition with the fail-stop kill/adoption path; and the
+// three-way reconciliation DagStats == metrics counters == trace events
+// (mirrors test_metrics).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +16,7 @@
 
 #include "dag/dag.hpp"
 #include "fault/fault.hpp"
+#include "metrics/metrics.hpp"
 #include "scioto/scioto_c.h"
 #include "scioto/task_collection.hpp"
 #include "test_util.hpp"
@@ -620,6 +621,78 @@ TEST(DagFault, KillARankEveryNodeRunsExactlyOnce) {
   EXPECT_EQ(fault::alive_count(), nranks - 1);
   fault::stop();
 }
+
+// ---- Three-way reconciliation: DagStats == metrics == trace ----
+
+class DagReconcile : public ::testing::TestWithParam<BackendKind> {};
+
+TEST_P(DagReconcile, CountersAgreeWithStatsAndTrace) {
+  const int nranks = 4;
+  trace::start(nranks);
+  metrics::start(nranks);
+  dag::DagStats g;
+  testing::run(nranks, GetParam(), [&](Runtime& rt) {
+    TaskCollection tc(rt, small_cfg());
+    dag::DagScheduler dag(tc);
+    dag::GroupId grp = dag.conflict_group();
+    auto root = dag.add_node(0, [&](dag::NodeCtx&) { rt.charge(1'000); });
+    for (int i = 1; i < 40; ++i) {
+      auto node = dag.add_node(
+          i % rt.nprocs(), [&](dag::NodeCtx&) { rt.charge(2'000); },
+          i % 4 == 0 ? grp : dag::kNoGroup);
+      dag.add_edge(root, node);
+    }
+    dag.execute();
+    dag::DagStats s = dag.stats_global();
+    if (rt.me() == 0) g = s;
+    tc.destroy();
+  });
+  std::vector<metrics::Snapshot> snaps(nranks);
+  for (Rank r = 0; r < nranks; ++r) {
+    ASSERT_TRUE(metrics::scrape(r, &snaps[static_cast<std::size_t>(r)]));
+  }
+  metrics::stop();
+  std::vector<trace::Event> evs = trace::all_events();
+  trace::stop();
+
+  auto fleet = [&](metrics::Ctr c) {
+    std::uint64_t sum = 0;
+    for (const auto& s : snaps) sum += s.ctr(c);
+    return sum;
+  };
+  std::uint64_t tr_run = 0, tr_ready = 0, tr_retry = 0;
+  for (const trace::Event& e : evs) {
+    if (e.kind == trace::Ev::NodeRun) ++tr_run;
+    if (e.kind == trace::Ev::NodeReady) ++tr_ready;
+    if (e.kind == trace::Ev::ConflictRetry) ++tr_retry;
+  }
+
+  EXPECT_EQ(g.nodes_run, 40u);
+  EXPECT_EQ(g.nodes_fired, g.nodes_run);  // every fired node ran
+  // DagStats vs metrics counters: increments sit at the same sites.
+  EXPECT_EQ(fleet(metrics::Ctr::DagNodesRun), g.nodes_run);
+  EXPECT_EQ(fleet(metrics::Ctr::DagNodesFired), g.nodes_fired);
+  EXPECT_EQ(fleet(metrics::Ctr::DagRemoteFires), g.remote_fires);
+  EXPECT_EQ(fleet(metrics::Ctr::DagConflictRetries), g.conflict_retries);
+  EXPECT_EQ(fleet(metrics::Ctr::DagVersionWaits), g.version_waits);
+  // ... and vs the trace stream's independent record of the same run.
+  EXPECT_EQ(g.nodes_run, tr_run);
+  EXPECT_EQ(g.nodes_fired, tr_ready);
+  EXPECT_EQ(g.conflict_retries + g.version_waits, tr_retry);
+  // Every executed node fed the depth histogram.
+  std::uint64_t hist_depth = 0;
+  for (const auto& s : snaps) {
+    hist_depth += s.hist(metrics::Hist::DagNodeDepth).count;
+  }
+  EXPECT_EQ(hist_depth, g.nodes_run);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DagReconcile,
+                         ::testing::Values(BackendKind::Sim,
+                                           BackendKind::Threads),
+                         [](const auto& info) {
+                           return testing::backend_name(info.param);
+                         });
 
 // ---- C API veneer ----
 

@@ -420,11 +420,14 @@ TEST_P(MetricsReconcile, EveryTableRowAgreesWithTheTrace) {
   });
   std::vector<metrics::Snapshot> snaps = scrape_all(nranks);
   metrics::stop();
-  ASSERT_EQ(trace::total_dropped(), 0u);
+  const std::uint64_t dropped = trace::total_dropped();
   std::vector<trace::Event> evs = trace::all_events();
   trace::stop();
+  if (tc.workload == Workload::UtsKill) fault::stop();
+  // Checked only once every session is stopped, so a ring overflow fails
+  // this case alone.
+  ASSERT_EQ(dropped, 0u);
   if (tc.workload == Workload::UtsKill) {
-    fault::stop();
     EXPECT_EQ(res.survivors, nranks - 1);
     EXPECT_GT(fleet_ctr(snaps, metrics::Ctr::TasksRecovered), 0u);
   }
@@ -434,7 +437,15 @@ TEST_P(MetricsReconcile, EveryTableRowAgreesWithTheTrace) {
   if (tc.workload == Workload::Cholesky) {
     // DagStats vs metrics counters: the increments sit at the same sites.
     const dag::DagStats& g = chol.dag;
+    // 8 tiles: 8 potrf + 28 trsm + 28 syrk + 56 gemm kernels, all run.
+    EXPECT_EQ(g.nodes_run, 120u);
     EXPECT_EQ(g.nodes_fired, g.nodes_run);  // every fired node ran
+    EXPECT_LT(chol.residual, 1e-12);
+    // The deterministic sim run exercises the ConflictRetry row (groups or
+    // version edges); under threads a retry depends on timing.
+    if (tc.backend == pgas::BackendKind::Sim) {
+      EXPECT_GT(g.conflict_retries + g.version_waits, 0u);
+    }
     EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::DagNodesRun), g.nodes_run);
     EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::DagNodesFired), g.nodes_fired);
     EXPECT_EQ(fleet_ctr(snaps, metrics::Ctr::DagRemoteFires), g.remote_fires);
