@@ -983,7 +983,6 @@ int SplitQueue::steal_from_lockfree(Rank victim, std::byte* out) {
       }
       if (reuse) {
         n = std::min(n, copy_base + copy_n - sh);
-        counters().steal_copy_reuses++;
       } else if (n > n_spec) {
         // A release raised the split past the stale window mid-retry;
         // fetch the extra slots the speculative get did not cover.
@@ -1016,7 +1015,6 @@ int SplitQueue::steal_from_lockfree(Rank victim, std::byte* out) {
       }
       return static_cast<int>(n);
     }
-    counters().cas_retries++;
     raw = expected;  // the failed CAS witnessed the current word
     have_raw = true;
     if (remote) {
@@ -1102,7 +1100,6 @@ bool SplitQueue::add_remote_lockfree(Rank target, const std::byte* task) {
       break;
     }
     // A thief advanced steal_head meanwhile; rewrite at the new position.
-    counters().cas_retries++;
   }
   rt_.unlock(locks_, target);
   return ok;

@@ -140,9 +140,6 @@ class SplitQueue {
     std::uint64_t steals_in = 0;        // successful steals we performed
     std::uint64_t steal_attempts = 0;   // including empty-handed
     std::uint64_t tasks_stolen_in = 0;  // tasks obtained by stealing
-    std::uint64_t cas_retries = 0;      // lockfree mode only
-    std::uint64_t steal_copy_reuses = 0;  // lockfree retries that kept the
-                                          // buffered chunk (same tag)
     std::uint64_t steals_aborted = 0;   // fault-truncated to zero tasks
     std::uint64_t tasks_recovered = 0;  // replayed txns + adopted queues
     std::uint64_t commit_retries = 0;   // dropped commit writes retried
